@@ -23,7 +23,7 @@ import argparse
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -49,7 +49,6 @@ from .lowgain import (
 )
 
 __all__ = [
-    "Scenario",
     "ScenarioError",
     "main",
     "run_fig2",
@@ -64,25 +63,13 @@ class ScenarioError(ValueError):
     """A scenario asks for an unsupported or ill-formed combination."""
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Resolved parameters of one CLI run.
-
-    Collects everything a subcommand needs after merging scenario-file values
-    and flag overrides; every runner validates the combinations it actually
-    uses and rejects the rest with a specific message.
-    """
-
-    regime: str
-    resonance: int
-    variant: str | None
-    alpha: float
-    n0: float
-    electrons: int
-    levels: int | None
-    end: float | None
-    samples: int | None
-    out: Path
+@contextmanager
+def _usage_errors():
+    """Report a ValueError raised while a runner resolves its parameters as a usage error."""
+    try:
+        yield
+    except ValueError as err:
+        raise ScenarioError(str(err)) from err
 
 
 def _fmt(value) -> str:
@@ -126,6 +113,10 @@ def run_fig2(
     samples = 4001 if samples is None else samples
     if end <= 0:
         raise ScenarioError("end (Omega*t span) must be positive")
+    if samples < 2:
+        raise ScenarioError("samples must be at least 2")
+    with _usage_errors():
+        all_params = [FelParams(alpha=alpha, nu=nu, context="low") for nu in (1, 2, 3)]
     omega_t = np.linspace(0.0, end, samples)
     tau_end = end / alpha
 
@@ -135,8 +126,7 @@ def run_fig2(
     for nu in (1, 2, 3):
         columns.append(np.asarray(analytic_dn(nu, alpha, omega_t)))
         header.append(f"dn_analytic_nu{nu}")
-    for nu in (1, 2, 3):
-        params = FelParams(alpha=alpha, nu=nu, context="low")
+    for nu, params in zip((1, 2, 3), all_params):
         model = LowGainModel(params=params, variant="full_hamiltonian")
         trace = propagate(model, LadderState.initial(params), tau_end, samples)
         columns.append(trace.column("dn_per_N"))
@@ -177,11 +167,14 @@ def run_fig3(
     end = d["end"] if end is None else end
     samples = d["samples"] if samples is None else samples
     out = Path(d["out"] if out is None else out)
-    nu = d["resonance"]
     if n0 <= 0:
         raise ScenarioError("the collective closed forms need a seeded field: n0 > 0")
-
-    params = FelParams(alpha=alpha, nu=nu, n0=n0, N=electrons, context="high")
+    if end <= 0:
+        raise ScenarioError("end (L/L_g span) must be positive")
+    if samples < 2:
+        raise ScenarioError("samples must be at least 2")
+    with _usage_errors():
+        params = FelParams(alpha=alpha, nu=d["resonance"], n0=n0, N=electrons, context="high")
     meta = {
         "subcommand": "fig3",
         "panel": panel,
@@ -234,11 +227,12 @@ def run_fig4(
     samples = 1201 if samples is None else samples
     if n0 <= 0:
         raise ScenarioError("the collective closed forms need a seeded field: n0 > 0")
-    p1 = FelParams(alpha=alpha, nu=1, n0=n0, N=electrons, context="high")
-    p2 = FelParams(alpha=alpha, nu=2, n0=n0, N=electrons, context="high")
-    if end is None:
-        end = 1.2 * max(lmax_exact(p1, 1), lmax_exact(p2, 2))
-    ell = np.linspace(0.0, end, samples)
+    with _usage_errors():
+        p1 = FelParams(alpha=alpha, nu=1, n0=n0, N=electrons, context="high")
+        p2 = FelParams(alpha=alpha, nu=2, n0=n0, N=electrons, context="high")
+        if end is None:
+            end = 1.2 * max(lmax_exact(p1, 1), lmax_exact(p2, 2))
+        ell = np.linspace(0.0, end, samples)
     meta = {
         "subcommand": "fig4",
         "alpha": alpha,

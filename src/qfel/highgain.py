@@ -29,9 +29,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import jv
 
 from .core import BandedHermitianOperator, FelParams, Trace
 from .specfun import elliptic_K, jacobi_cn, modulus_from_seed
@@ -144,6 +142,19 @@ def _gershgorin_bounds(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
     return float(np.min(diag - radius)), float(np.max(diag + radius))
+
+
+def jv(order, z):
+    """Bessel function of the first kind J_order(z), from ``scipy.special``.
+
+    ``scipy.special`` is imported on the first call rather than with the
+    package, since only the Chebyshev route needs it.  The name stays a
+    module global so the step's coefficient calls resolve (and can be
+    counted) here.
+    """
+    from scipy.special import jv as bessel_j
+
+    return bessel_j(order, z)
 
 
 def _chebyshev_step(
@@ -355,6 +366,10 @@ def integrate_semiclassical(
 
     y0 = np.array([np.sqrt(params.n0), 0.0, np.sqrt(N), 0.0, 0.0, 0.0])
     ells = np.linspace(0.0, ell_end, sample_count)
+    # scipy.integrate takes longer to import than the rest of the package
+    # together, and this is its only use.
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         rhs,
         (0.0, ell_end),

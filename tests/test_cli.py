@@ -276,6 +276,25 @@ class TestExitCodes:
         assert cli.main(["sweep", "--regime", "sideways"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fig2", "--samples", "1"], "samples must be at least 2"),
+            (["fig2", "--alpha", "nan"], "alpha must be positive"),
+            (["fig4", "--alpha", "0"], "alpha must be positive"),
+            (["fig3", "--panel", "top", "--electrons", "0"], "N must be a positive integer"),
+            (["fig3", "--panel", "top", "--end", "0"], "end (L/L_g span) must be positive"),
+            (["fig4", "--n0", "1e9"], "phase factor breaks down"),
+        ],
+    )
+    def test_bad_parameter_is_a_one_line_usage_error(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
     def test_unwritable_output_path(self, tmp_path, capsys):
         target = tmp_path / "missing_dir" / "fig4.csv"
         assert cli.main(["fig4", "--out", str(target)]) == 1
