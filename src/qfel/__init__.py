@@ -17,23 +17,18 @@ at the package's reference tolerances.
 
 from .core import (
     BandedHermitianOperator,
-    DickeState,
     Extremum,
     FelParams,
     LadderState,
     Trace,
     boxcar_smooth,
-    dicke_photon_number,
     first_maximum,
-    level_populations,
-    photon_change,
 )
 from .highgain import (
     HighGainModel,
     analytic_n_first,
     analytic_n_second,
     build_dicke_tridiagonal,
-    dicke_coefficients,
     integrate_semiclassical,
     lmax_exact,
     lmax_ratio,
@@ -49,7 +44,6 @@ from .lowgain import (
     build_full_hamiltonian,
     fit_rabi_frequency,
     gain_frequency,
-    gain_from_state,
     momentum_label_to_level,
     propagate,
     ripple_period,
@@ -64,13 +58,9 @@ __all__ = [
     # core
     "FelParams",
     "LadderState",
-    "DickeState",
     "BandedHermitianOperator",
     "Trace",
     "Extremum",
-    "level_populations",
-    "photon_change",
-    "dicke_photon_number",
     "boxcar_smooth",
     "first_maximum",
     # specfun
@@ -91,10 +81,8 @@ __all__ = [
     "momentum_label_to_level",
     "ripple_period",
     "fit_rabi_frequency",
-    "gain_from_state",
     # highgain
     "HighGainModel",
-    "dicke_coefficients",
     "build_dicke_tridiagonal",
     "propagate_dicke",
     "analytic_n_first",

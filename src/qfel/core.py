@@ -1,4 +1,4 @@
-"""Shared parameter bookkeeping, state containers, and observable extraction.
+"""Shared parameter bookkeeping, the ladder state, banded operators, and traces.
 
 Everything in this package is dimensionless.  The electron lives on a discrete
 momentum ladder with spacing q (the two-photon recoil): level mu holds momentum
@@ -7,7 +7,7 @@ index nu.  Time is measured in units of the inverse recoil frequency (tau),
 Rabi phase as Omega*t = alpha*tau, and undulator length in gain lengths
 (ell = L/L_g) with the conversion alpha_N * tau = ell / 2.
 
-Two dynamical regimes share these containers:
+Two dynamical regimes share these parameters:
 
 * low gain  -- a single electron in a fixed classical field; the quantum
   parameter is ``alpha = alpha_n`` (coupling times sqrt of the field's photon
@@ -23,20 +23,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, NamedTuple
+from numbers import Integral
+from typing import Dict, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "FelParams",
     "LadderState",
-    "DickeState",
     "BandedHermitianOperator",
     "Trace",
     "Extremum",
-    "level_populations",
-    "photon_change",
-    "dicke_photon_number",
     "boxcar_smooth",
     "first_maximum",
 ]
@@ -54,16 +51,18 @@ class FelParams:
     ----------
     alpha:
         Quantum parameter.  In the low-gain context this is ``alpha_n``; in
-        the high-gain context ``alpha_N``.  Must be positive; values above 1
-        leave the quantum regime and trigger a warning, not an error.
+        the high-gain context ``alpha_N``.  Must be positive and finite;
+        values above 1 leave the quantum regime and trigger a warning, not an
+        error.
     nu:
-        Resonance index; the initial electron momentum is ``nu*q/2``.
+        Resonance index, an integer; the initial electron momentum is ``nu*q/2``.
         Positive in normal operation.  A negative value selects the mirrored
         initial momentum ``-|nu|*q/2`` (used by reflection checks).
     n0:
-        Initial photon number of the seeded mode (high gain); non-negative.
+        Initial photon number of the seeded mode (high gain); finite and
+        non-negative.
     N:
-        Electron count (high gain); positive.
+        Electron count (high gain); a positive integer.
     M:
         Ladder truncation half-width (low gain).  Defaults to ``|nu| + 8``;
         must be at least ``|nu| + 3`` so every coupling of the effective
@@ -73,9 +72,6 @@ class FelParams:
         each resonance's highest tabulated order.
     context:
         ``"low"`` or ``"high"``; declares which regime ``alpha`` refers to.
-    epsilon:
-        Optional bare coupling-to-recoil ratio.  Defaults to
-        ``alpha / sqrt(N)`` in the high-gain context.
     """
 
     alpha: float
@@ -85,31 +81,32 @@ class FelParams:
     M: int | None = None
     order: int | None = None
     context: str = "low"
-    epsilon: float | None = None
 
     def __post_init__(self) -> None:
         if self.context not in ("low", "high"):
             raise ValueError(f"context must be 'low' or 'high', got {self.context!r}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.alpha > 1:
             warnings.warn(
                 f"alpha = {self.alpha} exceeds 1: outside the quantum regime",
                 stacklevel=2,
             )
-        if int(self.nu) != self.nu or self.nu == 0:
+        if not isinstance(self.nu, Integral) or self.nu == 0:
             raise ValueError(f"nu must be a nonzero integer, got {self.nu}")
         if self.n0 < 0:
             raise ValueError(f"n0 must be non-negative, got {self.n0}")
-        if self.N < 1:
+        if not np.isfinite(self.n0):
+            raise ValueError(f"n0 must be finite, got {self.n0}")
+        if not isinstance(self.N, Integral) or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
         m = self.ladder_halfwidth
         if m < abs(self.nu) + 3:
             raise ValueError(
                 f"M = {m} too small: need M >= |nu| + 3 = {abs(self.nu) + 3}"
             )
-        if self.epsilon is None and self.context == "high":
-            object.__setattr__(self, "epsilon", self.alpha / np.sqrt(self.N))
 
     @property
     def ladder_halfwidth(self) -> int:
@@ -120,14 +117,6 @@ class FelParams:
     def seed_ratio(self) -> float:
         """Seed strength n0/N (high-gain bookkeeping)."""
         return self.n0 / self.N
-
-    def tau_from_length(self, ell: np.ndarray | float) -> np.ndarray | float:
-        """Convert undulator length ell = L/L_g to dimensionless time tau."""
-        return np.asarray(ell) / (2.0 * self.alpha)
-
-    def rabi_phase(self, tau: np.ndarray | float) -> np.ndarray | float:
-        """Convert tau to the Rabi phase Omega*t = alpha * tau (low gain)."""
-        return self.alpha * np.asarray(tau)
 
 
 @dataclass
@@ -149,55 +138,6 @@ class LadderState:
         amps = np.zeros(2 * m + 1, dtype=complex)
         amps[m] = 1.0
         return cls(nu=params.nu, amplitudes=amps)
-
-    @property
-    def halfwidth(self) -> int:
-        return (self.amplitudes.size - 1) // 2
-
-    @property
-    def mu_values(self) -> np.ndarray:
-        m = self.halfwidth
-        return np.arange(-m, m + 1)
-
-    @property
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-
-@dataclass
-class DickeState:
-    """Collective amplitudes c_mu, mu in [0, N], of the seeded many-electron basis.
-
-    Basis state mu carries photon number ``n0 + photon_step * mu``: every
-    collective step transfers one electron across the resonance and emits
-    ``photon_step`` photons (1 for the first resonance, 2 for the second).
-    """
-
-    c: np.ndarray  # complex, length N + 1
-    photon_step: int
-    n0: float
-
-    def __post_init__(self) -> None:
-        self.c = np.asarray(self.c, dtype=complex)
-        if self.photon_step not in (1, 2):
-            raise ValueError(f"photon_step must be 1 or 2, got {self.photon_step}")
-        if self.n0 < 0:
-            raise ValueError("n0 must be non-negative")
-
-    @classmethod
-    def seeded(cls, N: int, n0: float, photon_step: int) -> "DickeState":
-        """Product seed state: all electrons unexcited, field in the n0 Fock state."""
-        c = np.zeros(N + 1, dtype=complex)
-        c[0] = 1.0
-        return cls(c=c, photon_step=photon_step, n0=n0)
-
-    @property
-    def N(self) -> int:
-        return self.c.size - 1
-
-    @property
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.c) ** 2))
 
 
 @dataclass
@@ -252,14 +192,6 @@ class BandedHermitianOperator:
                 h[idx + d, idx] += np.conj(vals)
         return h
 
-    def tridiagonal_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (diagonal, off-diagonal) for a static real tridiagonal operator."""
-        if self.half_bandwidth > 1 or not self.is_static:
-            raise ValueError("operator is not a static tridiagonal")
-        diag = np.real(self.bands.get(0, np.zeros(self.size)))
-        off = np.real(self.bands.get(1, np.zeros(self.size - 1)))
-        return np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
-
 
 @dataclass
 class Trace:
@@ -283,32 +215,6 @@ class Trace:
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
-
-
-def level_populations(state: LadderState) -> Dict[int, float]:
-    """Probabilities P_mu = |psi_mu|^2 for every ladder level."""
-    probs = np.abs(state.amplitudes) ** 2
-    return {int(mu): float(p) for mu, p in zip(state.mu_values, probs)}
-
-
-def photon_change(populations: Mapping[int, float], N: int) -> float:
-    """Emitted-photon count delta_n = N * sum_mu mu * P_mu.
-
-    Positive values mean net emission (population moved toward lower
-    momentum).  The populations must be normalized; deviations beyond 1e-6
-    are rejected because they signal a broken state, not roundoff.
-    """
-    total = float(sum(populations.values()))
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"populations sum to {total}, violating normalization")
-    return float(N) * float(sum(mu * p for mu, p in populations.items()))
-
-
-def dicke_photon_number(state: DickeState) -> float:
-    """Photon-number expectation n = sum_mu |c_mu|^2 (n0 + s*mu)."""
-    probs = np.abs(state.c) ** 2
-    mus = np.arange(state.c.size)
-    return float(np.sum(probs * (state.n0 + state.photon_step * mus)))
 
 
 def boxcar_smooth(x: np.ndarray, y: np.ndarray, window: float) -> tuple[np.ndarray, np.ndarray]:

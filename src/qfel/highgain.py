@@ -9,7 +9,7 @@ tridiagonal system in the scaled undulator length ell = L/L_g,
     i dc_mu/dell = a(mu) c_{mu-1} + a(mu+1) c_{mu+1} + d(mu) c_mu,
 
 whose coefficient formulas per resonance and model variant live in
-``dicke_coefficients``.  Cross-checking routes:
+``build_dicke_tridiagonal``.  Cross-checking routes:
 
 * ``propagate_dicke`` — exact-in-time evolution of the tridiagonal system
   (eigendecomposition, or a Chebyshev polynomial propagator for very large N);
@@ -37,7 +37,6 @@ from .specfun import elliptic_K, jacobi_cn, modulus_from_seed
 __all__ = [
     "HighGainModel",
     "VARIANTS",
-    "dicke_coefficients",
     "build_dicke_tridiagonal",
     "propagate_dicke",
     "analytic_n_first",
@@ -112,22 +111,6 @@ def _coefficient_arrays(model: HighGainModel) -> tuple[np.ndarray, np.ndarray]:
             d = np.zeros(N + 1)
         else:
             d = -(alpha / 4.0) * (n0 + mu_d * (1.0 + 1.0 / N))
-    return a, d
-
-
-def dicke_coefficients(model: HighGainModel, mu: int) -> tuple[float, float]:
-    """Coupling a(mu) and level shift d(mu) of the collective tridiagonal.
-
-    ``a`` is defined for 0 <= mu <= N+1 and vanishes at both boundaries
-    (a(0) = a(N+1) = 0 close the three-term recursion); ``d`` is meaningful
-    for 0 <= mu <= N — there is no level N+1, so its shift is reported as 0.
-    """
-    N = model.params.N
-    if not 0 <= mu <= N + 1:
-        raise ValueError(f"mu = {mu} outside [0, N+1]")
-    a_arr, d_arr = _coefficient_arrays(model)
-    a = 0.0 if mu == 0 or mu == N + 1 else float(a_arr[mu - 1])
-    d = float(d_arr[mu]) if mu <= N else 0.0
     return a, d
 
 

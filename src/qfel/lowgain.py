@@ -21,7 +21,7 @@ every reported number unchanged at the 1e-8 level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
@@ -33,8 +33,6 @@ from .core import (
     LadderState,
     Trace,
     first_maximum,
-    level_populations,
-    photon_change,
 )
 
 __all__ = [
@@ -51,7 +49,6 @@ __all__ = [
     "momentum_label_to_level",
     "ripple_period",
     "fit_rabi_frequency",
-    "gain_from_state",
 ]
 
 #: Expansion orders available per resonance for the effective models.
@@ -181,18 +178,14 @@ def _effective_bands(nu: int, alpha: float, order: int, m: int) -> Dict[tuple[in
     return h
 
 
-def build_effective_hamiltonian(params: FelParams, order: int | None = None) -> BandedHermitianOperator:
-    """Static effective Hamiltonian of the requested resonance and order.
+def build_effective_hamiltonian(params: FelParams) -> BandedHermitianOperator:
+    """Static effective Hamiltonian of the resonance and order in ``params``.
 
     Supported expansion orders are 1-3 for nu = 1 and 3, and 2 or 4 for
     nu = 2 (whose expansion has no odd terms); anything else is rejected
     outright rather than silently truncated.
     """
-    model = LowGainModel(
-        params=params if order is None else _with_order(params, order),
-        variant="effective",
-    )
-    order = model.resolve_order()
+    order = LowGainModel(params=params, variant="effective").resolve_order()
     nu, alpha, m = params.nu, params.alpha, params.ladder_halfwidth
     elements = _effective_bands(nu, alpha, order, m)
     size = 2 * m + 1
@@ -202,10 +195,6 @@ def build_effective_hamiltonian(params: FelParams, order: int | None = None) -> 
         bands[j - i][i + m] = val
     bands = {d: arr for d, arr in bands.items() if np.any(arr != 0) or d == 0}
     return BandedHermitianOperator(size=size, bands=bands)
-
-
-def _with_order(params: FelParams, order: int) -> FelParams:
-    return replace(params, order=order)
 
 
 def propagate(
@@ -352,16 +341,14 @@ def momentum_label_to_level(nu: int, k2: int) -> int:
 def ripple_period(params: FelParams) -> float:
     """Period (in tau) of the slowest off-resonant coupling phase.
 
-    This is the natural smoothing window when locating slow-envelope extrema
-    of a full-Hamiltonian trace: averaging over one ripple period removes the
-    fast oscillations without biasing the envelope.
+    The couplings of ``build_full_hamiltonian`` rotate at nu - 2*mu - 1,
+    whose smallest nonzero magnitude is 2 for odd nu and 1 for even nu, so
+    the period is pi or 2*pi.  This is the natural smoothing window when
+    locating slow-envelope extrema of a full-Hamiltonian trace: averaging
+    over one ripple period removes the fast oscillations without biasing the
+    envelope.
     """
-    op = build_full_hamiltonian(params)
-    freqs = np.abs(op.freqs[1])
-    nonzero = freqs[freqs > 0]
-    if nonzero.size == 0:
-        raise ValueError("no oscillating couplings on this ladder")
-    return float(2.0 * np.pi / nonzero.min())
+    return np.pi if params.nu % 2 else 2.0 * np.pi
 
 
 def fit_rabi_frequency(trace: Trace, column: str = "dn_per_N", smooth_window: float = 0.0) -> float:
@@ -375,14 +362,3 @@ def fit_rabi_frequency(trace: Trace, column: str = "dn_per_N", smooth_window: fl
     """
     ext = first_maximum(trace.x, np.asarray(trace.column(column), dtype=float), smooth_window)
     return float(np.pi / (2.0 * ext.position))
-
-
-def _interior_populations(state: LadderState) -> Dict[int, float]:
-    m = state.halfwidth
-    pops = level_populations(state)
-    return {mu: p for mu, p in pops.items() if abs(mu) <= m - EDGE_BUFFER}
-
-
-def gain_from_state(state: LadderState) -> float:
-    """Per-electron gain dn/N of a ladder state (interior levels only)."""
-    return photon_change(_interior_populations(state), N=1)

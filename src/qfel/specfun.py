@@ -5,7 +5,8 @@ constructions, so the package carries no external special-function
 dependency.  Throughout this package ``k`` is the elliptic *modulus*, not the
 parameter ``m = k**2`` — call sites that bridge to other libraries must
 convert explicitly, because silently mixing the two conventions is the
-classic failure mode of elliptic-function code.
+classic failure mode of elliptic-function code.  Every entry point checks its
+modulus by converting it to an ``EllipticModulus``.
 """
 
 from __future__ import annotations
@@ -29,13 +30,6 @@ class EllipticModulus(float):
         return super().__new__(cls, k)
 
 
-def _validate_modulus(k: float) -> float:
-    k = float(k)
-    if not 0.0 <= k < 1.0:
-        raise ValueError(f"modulus must lie in [0, 1), got {k}")
-    return k
-
-
 def elliptic_K(k: float) -> float:
     """Complete elliptic integral of the first kind, K(k).
 
@@ -44,7 +38,7 @@ def elliptic_K(k: float) -> float:
     handful of steps.  K(0) = pi/2 exactly and K is monotone increasing,
     diverging as k -> 1 (rejected).
     """
-    k = _validate_modulus(k)
+    k = EllipticModulus(k)
     a, b = 1.0, float(np.sqrt(1.0 - k * k))
     while abs(a - b) > 1e-15 * a:
         a, b = 0.5 * (a + b), float(np.sqrt(a * b))
@@ -91,7 +85,7 @@ def jacobi_cn(u: np.ndarray | float, k: float) -> np.ndarray | float:
     Even in u, bounded by 1, periodic with period 4K(k), and reducing to
     cos(u) at k = 0.
     """
-    k = _validate_modulus(k)
+    k = EllipticModulus(k)
     scalar = np.isscalar(u) or np.ndim(u) == 0
     cn, _ = _cn_sn(u, k)
     return float(cn) if scalar else cn

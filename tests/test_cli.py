@@ -285,6 +285,8 @@ class TestExitCodes:
             (["fig3", "--panel", "top", "--electrons", "0"], "N must be a positive integer"),
             (["fig3", "--panel", "top", "--end", "0"], "end (L/L_g span) must be positive"),
             (["fig4", "--n0", "1e9"], "phase factor breaks down"),
+            (["fig2", "--alpha", "inf"], "alpha must be finite"),
+            (["fig3", "--panel", "top", "--n0", "nan"], "n0 must be finite"),
         ],
     )
     def test_bad_parameter_is_a_one_line_usage_error(self, argv, message, tmp_path, capsys):

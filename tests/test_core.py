@@ -1,21 +1,15 @@
-"""Parameter validation, state containers, banded operators, trace tooling."""
+"""Parameter validation, the ladder state, banded operators, trace tooling."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qfel.core import (
     BandedHermitianOperator,
-    DickeState,
     FelParams,
     LadderState,
     Trace,
     boxcar_smooth,
-    dicke_photon_number,
     first_maximum,
-    level_populations,
-    photon_change,
 )
 
 
@@ -40,6 +34,11 @@ class TestFelParams:
             {"alpha": 0.25, "n0": -1.0},
             {"alpha": 0.25, "N": 0},
             {"alpha": 0.25, "nu": 2, "M": 4},  # below |nu| + 3
+            {"alpha": np.inf},
+            {"alpha": 0.25, "n0": np.nan},
+            {"alpha": 0.25, "n0": np.inf},
+            {"alpha": 0.25, "nu": 2.0},  # integral value, but not an integer
+            {"alpha": 0.25, "N": 10.5},
         ],
     )
     def test_rejections(self, kwargs):
@@ -54,17 +53,9 @@ class TestFelParams:
         p = FelParams(alpha=0.25, nu=-2)
         assert p.ladder_halfwidth == 10
 
-    def test_time_conversions(self):
+    def test_seed_ratio(self):
         p = FelParams(alpha=0.25, nu=2, n0=100, N=1000, context="high")
-        # L/(2 L_g) = alpha * tau, so tau = ell / (2 alpha).
-        assert p.tau_from_length(1.0) == pytest.approx(2.0)
-        # Omega t = alpha_n * tau with alpha_n = alpha sqrt(n0/N).
-        assert p.rabi_phase(8.0) == pytest.approx(0.25 * 8.0)
         assert p.seed_ratio == pytest.approx(0.1)
-
-    def test_epsilon_default_in_high_context(self):
-        p = FelParams(alpha=0.25, nu=2, n0=100, N=400, context="high")
-        assert p.epsilon == pytest.approx(0.25 / 20.0)
 
 
 class TestStates:
@@ -72,46 +63,8 @@ class TestStates:
         p = FelParams(alpha=0.25, nu=3)
         s = LadderState.initial(p)
         assert s.amplitudes.size == 2 * p.ladder_halfwidth + 1
-        assert s.norm == pytest.approx(1.0)
+        assert np.sum(np.abs(s.amplitudes) ** 2) == pytest.approx(1.0)
         assert s.amplitudes[p.ladder_halfwidth] == 1.0  # all weight on mu = 0
-        assert s.mu_values[0] == -p.ladder_halfwidth
-        assert s.mu_values[-1] == p.ladder_halfwidth
-
-    def test_level_populations_keys_and_sum(self):
-        p = FelParams(alpha=0.25, nu=1)
-        pops = level_populations(LadderState.initial(p))
-        assert set(pops) == set(range(-9, 10))
-        assert sum(pops.values()) == pytest.approx(1.0)
-
-    def test_seeded_dicke_state(self):
-        s = DickeState.seeded(N=12, n0=3.0, photon_step=2)
-        assert s.c.size == 13
-        assert s.c[0] == 1.0
-        assert s.norm == pytest.approx(1.0)
-        assert s.N == 12
-
-    def test_photon_change_is_weighted_level_sum(self):
-        pops = {-1: 0.25, 0: 0.5, 1: 0.25}
-        assert photon_change(pops, N=4) == pytest.approx(0.0)
-        pops = {0: 0.4, 1: 0.6}
-        assert photon_change(pops, N=10) == pytest.approx(6.0)
-
-    def test_photon_change_rejects_broken_norm(self):
-        with pytest.raises(ValueError, match="norm"):
-            photon_change({0: 0.5, 1: 0.4}, N=1)
-
-    @given(
-        n0=st.floats(min_value=0.0, max_value=50.0),
-        step=st.sampled_from([1, 2]),
-        weights=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=9),
-    )
-    @settings(deadline=None, max_examples=60)
-    def test_dicke_photon_number_matches_direct_sum(self, n0, step, weights):
-        w = np.asarray(weights, dtype=float) + 1e-3
-        c = np.sqrt(w / w.sum()).astype(complex)
-        state = DickeState(c=c, photon_step=step, n0=n0)
-        expected = sum(abs(c[mu]) ** 2 * (n0 + step * mu) for mu in range(c.size))
-        assert dicke_photon_number(state) == pytest.approx(expected, rel=1e-12)
 
 
 class TestBandedOperator:
@@ -138,9 +91,8 @@ class TestBandedOperator:
     def test_static_property_and_tridiagonal_parts(self):
         op = BandedHermitianOperator(size=3, bands={0: np.arange(3.0), 1: np.ones(2)})
         assert op.is_static
-        diag, off = op.tridiagonal_parts()
-        assert np.array_equal(diag, np.arange(3.0))
-        assert np.array_equal(off, np.ones(2))
+        assert np.array_equal(op.bands[0], np.arange(3.0))
+        assert np.array_equal(op.bands[1], np.ones(2))
         assert op.half_bandwidth == 1
 
 

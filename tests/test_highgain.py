@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from oracles import expm_populations
-from qfel.core import DickeState, FelParams, dicke_photon_number, first_maximum
+from qfel.core import FelParams, first_maximum
 from qfel.highgain import (
     VARIANTS,
     HighGainModel,
     analytic_n_first,
     analytic_n_second,
     build_dicke_tridiagonal,
-    dicke_coefficients,
     integrate_semiclassical,
     lmax_exact,
     lmax_ratio,
@@ -45,11 +44,17 @@ class TestModelValidation:
 
 
 class TestCoefficients:
+    @staticmethod
+    def _bands(model):
+        """Couplings a(1..N) and level shifts d(0..N) of the built tridiagonal."""
+        op = build_dicke_tridiagonal(model)
+        return op.bands[1], op.bands[0]
+
     def test_second_resonance_coupling_formula(self):
         alpha, n0, N = 0.3, 2.0, 8
         model = HighGainModel(params=_params(2, alpha=alpha, n0=n0, N=N), variant="full_second_order")
+        off, _ = self._bands(model)
         for mu in (1, 2, 5, 8):
-            a, _ = dicke_coefficients(model, mu)
             expected = (
                 0.5
                 * alpha
@@ -57,59 +62,58 @@ class TestCoefficients:
                 * np.sqrt(mu / N)
                 * np.sqrt(1.0 - (mu - 1) / N)
             )
-            assert a == pytest.approx(expected, rel=1e-15), f"mu={mu}"
+            assert off[mu - 1] == pytest.approx(expected, rel=1e-15), f"mu={mu}"
 
     def test_second_resonance_level_shifts(self):
         model = HighGainModel(params=_params(2, alpha=0.3, n0=2.0, N=8), variant="full_second_order")
+        _, diag = self._bands(model)
         # d(mu) = alpha [ (2/3) mu (1 - 1/N) + n0/3 + 1/2 ], frozen by hand.
-        assert dicke_coefficients(model, 0)[1] == pytest.approx(0.35)
-        assert dicke_coefficients(model, 2)[1] == pytest.approx(0.70)
+        assert diag[0] == pytest.approx(0.35)
+        assert diag[2] == pytest.approx(0.70)
 
     def test_pair_coupling_variant_has_no_shifts_but_same_coupling(self):
         full = HighGainModel(params=_params(2, alpha=0.3, n0=2.0, N=8), variant="full_second_order")
         pair = HighGainModel(params=_params(2, alpha=0.3, n0=2.0, N=8), variant="dicke_only")
-        for mu in range(0, 10):
-            a_full, d_full = dicke_coefficients(full, mu)
-            a_pair, d_pair = dicke_coefficients(pair, mu)
-            assert a_pair == a_full
-            assert d_pair == 0.0
-            if mu not in (0, 9):
-                assert d_full != 0.0
+        off_full, d_full = self._bands(full)
+        off_pair, d_pair = self._bands(pair)
+        assert np.array_equal(off_pair, off_full)
+        assert np.all(d_pair == 0.0)
+        assert np.all(d_full[1:] != 0.0)
 
     def test_first_resonance_coupling_formula(self):
         alpha, n0, N = 0.4, 2.0, 8
         third = HighGainModel(params=_params(1, alpha=alpha, n0=n0, N=N), variant="third_order")
         first = HighGainModel(params=_params(1, alpha=alpha, n0=n0, N=N), variant="first_order")
+        off_third, d_third = self._bands(third)
+        off_first, d_first = self._bands(first)
         bracket = 1.0 - (alpha**2 / 8.0) * (1.0 + 2.0 * (n0 + 1.0) / N)
         for mu in (1, 3, 8):
             bare = 0.5 * np.sqrt(mu * (n0 + mu)) * np.sqrt(1.0 - (mu - 1) / N)
-            assert dicke_coefficients(first, mu)[0] == pytest.approx(bare, rel=1e-15)
-            assert dicke_coefficients(third, mu)[0] == pytest.approx(bracket * bare, rel=1e-15)
+            assert off_first[mu - 1] == pytest.approx(bare, rel=1e-15)
+            assert off_third[mu - 1] == pytest.approx(bracket * bare, rel=1e-15)
         # d(mu) = -(alpha/4) (n0 + mu (1 + 1/N)), frozen by hand at two points.
-        assert dicke_coefficients(third, 0)[1] == pytest.approx(-0.2)
-        assert dicke_coefficients(third, 2)[1] == pytest.approx(-0.425)
-        assert dicke_coefficients(first, 2)[1] == 0.0
+        assert d_third[0] == pytest.approx(-0.2)
+        assert d_third[2] == pytest.approx(-0.425)
+        assert d_first[2] == 0.0
 
     def test_boundary_couplings_vanish(self):
+        # a(0) = a(N+1) = 0 close the recursion: only levels 0..N are coupled.
         model = HighGainModel(params=_params(2, N=8), variant="full_second_order")
-        assert dicke_coefficients(model, 0)[0] == 0.0
-        assert dicke_coefficients(model, 9)[0] == 0.0
-        assert dicke_coefficients(model, 9)[1] == 0.0  # no level N+1
-        with pytest.raises(ValueError, match="outside"):
-            dicke_coefficients(model, 10)
-        with pytest.raises(ValueError, match="outside"):
-            dicke_coefficients(model, -1)
+        op = build_dicke_tridiagonal(model)
+        assert op.size == 9
+        assert op.bands[1].shape == (8,)
+        assert np.all(op.bands[1] > 0.0)
+        h = op.dense()
+        assert np.count_nonzero(h[0]) == 2 and np.count_nonzero(h[-1]) == 2
 
     def test_tridiagonal_build_matches_coefficients(self):
         model = HighGainModel(params=_params(2, N=8), variant="full_second_order")
         op = build_dicke_tridiagonal(model)
-        assert op.size == 9
-        diag, off = op.tridiagonal_parts()
-        for mu in range(9):
-            a, d = dicke_coefficients(model, mu)
-            assert diag[mu] == pytest.approx(d)
-            if mu >= 1:
-                assert off[mu - 1] == pytest.approx(a)
+        assert sorted(op.bands) == [0, 1]
+        assert op.is_static
+        off, diag = self._bands(model)
+        expected = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.array_equal(op.dense(), expected)
 
 
 class TestPropagation:
@@ -156,17 +160,17 @@ class TestPropagation:
         probs = np.array([trace.column(f"P[{mu}]") for mu in range(17)])
         assert np.allclose(probs.sum(axis=0), trace.column("norm"), atol=1e-12)
         # The reported photon number is the state's photon expectation.
+        photons = 4.0 + np.arange(17)  # n0 + mu photons on level mu
         for i in (3, 10):
-            state = DickeState(c=np.sqrt(probs[:, i]).astype(complex), photon_step=1, n0=4.0)
-            assert dicke_photon_number(state) == pytest.approx(trace.column("n")[i], rel=1e-12)
+            assert np.sum(probs[:, i] * photons) == pytest.approx(trace.column("n")[i], rel=1e-12)
 
     def test_two_electron_limit_is_exact_two_level_dynamics(self):
         # N = 1 collapses the collective basis to two states, solvable by hand.
         alpha, n0 = 0.3, 5.0
         for variant in ("first_order", "third_order"):
             model = HighGainModel(params=_params(1, alpha=alpha, n0=n0, N=1), variant=variant)
-            a, d0 = dicke_coefficients(model, 1)[0], dicke_coefficients(model, 0)[1]
-            d1 = dicke_coefficients(model, 1)[1]
+            op = build_dicke_tridiagonal(model)
+            a, (d0, d1) = op.bands[1][0], op.bands[0]
             delta = 0.5 * (d1 - d0)
             omega = np.sqrt(a**2 + delta**2)
             ells = np.linspace(0.0, 12.0, 97)

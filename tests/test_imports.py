@@ -1,5 +1,9 @@
-"""Package import cost: SciPy's heavy submodules load only when a route needs them."""
+"""Package import cost, and the package names the benchmark tracer wraps.
 
+SciPy's heavy submodules load only when a route needs them.
+"""
+
+import importlib.util
 import json
 import os
 import subprocess
@@ -53,3 +57,19 @@ def test_chebyshev_route_loads_scipy_special_only(stages):
 def test_mean_field_route_loads_scipy_integrate(stages):
     assert stages["mean_field"]["scipy.integrate"]
     assert stages["mean_field"]["scipy.optimize"]
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracing.py rebinds these names on a traced run; a deleted or
+    # renamed target would make ``Tracer.install`` fail with AttributeError.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("qfel_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    import qfel.cli
+    import qfel.validate
+
+    for name, (module, attr) in tracing.TARGETS.items():
+        assert callable(getattr(getattr(qfel, module), attr, None)), name
+    assert callable(qfel.core.BandedHermitianOperator.dense)
+    assert len(qfel.validate.CHECKS) == 9

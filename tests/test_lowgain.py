@@ -17,7 +17,6 @@ from qfel.lowgain import (
     build_full_hamiltonian,
     fit_rabi_frequency,
     gain_frequency,
-    gain_from_state,
     momentum_label_to_level,
     propagate,
     ripple_period,
@@ -155,7 +154,7 @@ class TestEffectiveHamiltonian:
 
     def test_second_resonance_matrix_elements(self):
         alpha, m = 0.2, 6
-        low = build_effective_hamiltonian(_params(2, alpha=alpha, M=m), order=2)
+        low = build_effective_hamiltonian(_params(2, alpha=alpha, M=m, order=2))
         diag = low.bands[0]
         for mu in (-2, -1, 0, 1, 2, 3):
             expected = 2.0 * alpha**2 / ((2 * mu - 3) * (2 * mu - 1))
@@ -163,7 +162,7 @@ class TestEffectiveHamiltonian:
         assert low.bands[2][0 + m] == pytest.approx(alpha**2)
         assert 1 not in low.bands or not np.any(low.bands[1])
 
-        high = build_effective_hamiltonian(_params(2, alpha=alpha, M=m), order=4)
+        high = build_effective_hamiltonian(_params(2, alpha=alpha, M=m, order=4))
         assert high.bands[2][0 + m] == pytest.approx(alpha**2 - (16.0 / 9.0) * alpha**4)
         assert high.bands[4][-1 + m] == pytest.approx(alpha**4 / 36.0)
 
@@ -179,9 +178,9 @@ class TestEffectiveHamiltonian:
 
     def test_unsupported_orders_are_rejected(self):
         with pytest.raises(ValueError, match="orders"):
-            build_effective_hamiltonian(_params(2), order=3)
+            build_effective_hamiltonian(_params(2, order=3))
         with pytest.raises(ValueError, match="orders"):
-            build_effective_hamiltonian(_params(1), order=4)
+            build_effective_hamiltonian(_params(1, order=4))
         with pytest.raises(ValueError, match="resonance"):
             build_effective_hamiltonian(_params(4))
         assert SUPPORTED_ORDERS == {1: (1, 2, 3), 2: (2, 4), 3: (1, 2, 3)}
@@ -278,9 +277,14 @@ class TestClosedForms:
 
 class TestEstimators:
     def test_ripple_periods(self):
-        assert ripple_period(_params(1)) == pytest.approx(np.pi)
-        assert ripple_period(_params(2)) == pytest.approx(2 * np.pi)
-        assert ripple_period(_params(3)) == pytest.approx(np.pi)
+        for nu in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
+            for m in (None, abs(nu) + 3, 30):
+                p = _params(nu, M=m)
+                # Slowest nonzero coupling phase of the full Hamiltonian itself.
+                freqs = np.abs(build_full_hamiltonian(p).freqs[1])
+                scanned = 2.0 * np.pi / freqs[freqs > 0].min()
+                assert ripple_period(p) == scanned, f"nu={nu} M={m}"
+                assert ripple_period(p) == (np.pi if nu % 2 else 2.0 * np.pi)
 
     def test_fit_rabi_frequency_on_synthetic_trace(self):
         x = np.linspace(0.0, 20.0, 4001)
@@ -303,7 +307,7 @@ class TestEstimators:
         psi0 = np.zeros(13, dtype=complex)
         psi0[6] = 1.0
         psi = v @ (np.exp(-1j * w * 4.0) * (v.T @ psi0))
-        state = LadderState(nu=1, amplitudes=psi)
-        assert gain_from_state(state) == pytest.approx(
-            trace.column("dn_per_N")[-1], abs=1e-12
-        )
+        mus = np.arange(-6, 7)
+        interior = np.abs(mus) <= 4  # the edge buffer of two levels is excluded
+        gain = np.sum(mus[interior] * np.abs(psi[interior]) ** 2)
+        assert gain == pytest.approx(trace.column("dn_per_N")[-1], abs=1e-12)
