@@ -23,14 +23,13 @@ import argparse
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import validate as validation
-from .core import FelParams, LadderState, first_maximum
+from .core import FelParams, LadderState, first_maximum, sample_axis
 from .highgain import (
     HighGainModel,
     analytic_n_first,
@@ -61,15 +60,6 @@ __all__ = [
 
 class ScenarioError(ValueError):
     """A scenario asks for an unsupported or ill-formed combination."""
-
-
-@contextmanager
-def _usage_errors():
-    """Report a ValueError raised while a runner resolves its parameters as a usage error."""
-    try:
-        yield
-    except ValueError as err:
-        raise ScenarioError(str(err)) from err
 
 
 def _fmt(value) -> str:
@@ -106,18 +96,11 @@ def run_fig2(
     full-propagation curves on the same axis.  The default span covers one
     full envelope period of the slowest (third) resonance.
     """
-    if alpha <= 0:
-        raise ScenarioError("alpha must be positive")
+    all_params = [FelParams(alpha=alpha, nu=nu, context="low") for nu in (1, 2, 3)]
     # Default span: one full envelope period of the slowest (third) resonance.
     end = 1.05 * np.pi * alpha / gain_frequency(3, alpha) if end is None else end
     samples = 4001 if samples is None else samples
-    if end <= 0:
-        raise ScenarioError("end (Omega*t span) must be positive")
-    if samples < 2:
-        raise ScenarioError("samples must be at least 2")
-    with _usage_errors():
-        all_params = [FelParams(alpha=alpha, nu=nu, context="low") for nu in (1, 2, 3)]
-    omega_t = np.linspace(0.0, end, samples)
+    omega_t = sample_axis(end, samples)
     tau_end = end / alpha
 
     columns: list[np.ndarray] = [omega_t]
@@ -167,14 +150,8 @@ def run_fig3(
     end = d["end"] if end is None else end
     samples = d["samples"] if samples is None else samples
     out = Path(d["out"] if out is None else out)
-    if n0 <= 0:
-        raise ScenarioError("the collective closed forms need a seeded field: n0 > 0")
-    if end <= 0:
-        raise ScenarioError("end (L/L_g span) must be positive")
-    if samples < 2:
-        raise ScenarioError("samples must be at least 2")
-    with _usage_errors():
-        params = FelParams(alpha=alpha, nu=d["resonance"], n0=n0, N=electrons, context="high")
+    params = FelParams(alpha=alpha, nu=d["resonance"], n0=n0, N=electrons, context="high")
+    ell = sample_axis(end, samples)
     meta = {
         "subcommand": "fig3",
         "panel": panel,
@@ -184,26 +161,18 @@ def run_fig3(
         "end": end,
         "samples": samples,
     }
-    ell = np.linspace(0.0, end, samples)
+    # Closed forms first: they reject a seedless field before the N-electron solve.
     if panel == "top":
         header = ["L_over_Lg", "n_analytic_order3", "n_analytic_order1", "n_numeric_third_order"]
-        numeric = propagate_dicke(HighGainModel(params=params, variant="third_order"), end, samples)
-        columns = [
-            ell,
-            np.asarray(analytic_n_first(ell, params, order=3)),
-            np.asarray(analytic_n_first(ell, params, order=1)),
-            numeric.column("n"),
-        ]
+        columns = [ell, analytic_n_first(ell, params, order=3), analytic_n_first(ell, params, order=1)]
+        variants = ("third_order",)
     else:
         header = ["L_over_Lg", "n_analytic", "n_numeric_dicke_only", "n_numeric_full_second_order"]
-        pair = propagate_dicke(HighGainModel(params=params, variant="dicke_only"), end, samples)
-        full = propagate_dicke(HighGainModel(params=params, variant="full_second_order"), end, samples)
-        columns = [
-            ell,
-            np.asarray(analytic_n_second(ell, params)),
-            pair.column("n"),
-            full.column("n"),
-        ]
+        columns = [ell, analytic_n_second(ell, params)]
+        variants = ("dicke_only", "full_second_order")
+    for variant in variants:
+        model = HighGainModel(params=params, variant=variant)
+        columns.append(propagate_dicke(model, end, samples).column("n"))
     _write_csv(out, meta, header, zip(*columns))
     return out
 
@@ -225,14 +194,11 @@ def run_fig4(
     electrons = 10_000 if electrons is None else electrons
     n0 = 0.1 * electrons if n0 is None else n0
     samples = 1201 if samples is None else samples
-    if n0 <= 0:
-        raise ScenarioError("the collective closed forms need a seeded field: n0 > 0")
-    with _usage_errors():
-        p1 = FelParams(alpha=alpha, nu=1, n0=n0, N=electrons, context="high")
-        p2 = FelParams(alpha=alpha, nu=2, n0=n0, N=electrons, context="high")
-        if end is None:
-            end = 1.2 * max(lmax_exact(p1, 1), lmax_exact(p2, 2))
-        ell = np.linspace(0.0, end, samples)
+    p1 = FelParams(alpha=alpha, nu=1, n0=n0, N=electrons, context="high")
+    p2 = FelParams(alpha=alpha, nu=2, n0=n0, N=electrons, context="high")
+    if end is None:
+        end = 1.2 * max(lmax_exact(p1, 1), lmax_exact(p2, 2))
+    ell = sample_axis(end, samples)
     meta = {
         "subcommand": "fig4",
         "alpha": alpha,
@@ -242,11 +208,7 @@ def run_fig4(
         "samples": samples,
     }
     header = ["L_over_Lg", "n_first_resonance", "n_second_resonance"]
-    columns = [
-        ell,
-        np.asarray(analytic_n_first(ell, p1, order=3)),
-        np.asarray(analytic_n_second(ell, p2)),
-    ]
+    columns = [ell, analytic_n_first(ell, p1, order=3), analytic_n_second(ell, p2)]
     out = Path(out)
     _write_csv(out, meta, header, zip(*columns))
     return out
@@ -305,17 +267,21 @@ def _sweep_point_low(
 
 def _sweep_point_high(alpha: float, n0: float, nu: int, electrons: int) -> list:
     row: list = [alpha, n0, electrons, nu, math.nan, math.nan, math.nan, math.nan, math.nan, ""]
-    errors: list[str] = []
     try:
         params = FelParams(alpha=alpha, nu=nu, n0=n0, N=electrons, context="high")
+    except Exception as err:  # noqa: BLE001
+        row[9] = _sanitize(err)
+        return row
+    errors: list[str] = []
+    try:
         row[5] = n0 + nu * electrons  # closed-form ceiling of the first maximum
         row[6] = lmax_exact(params, nu)
     except Exception as err:  # noqa: BLE001
         errors.append(_sanitize(err))
     try:
-        row[7] = lmax_ratio(alpha, n0 / electrons)
-        p = FelParams(alpha=alpha, nu=2, n0=n0, N=electrons, context="high")
-        row[8] = lmax_exact(p, 2) / lmax_exact(p, 1)
+        row[7] = lmax_ratio(alpha, params.seed_ratio)
+        # lmax_exact reads alpha, n0 and N only, so one FelParams serves both resonances.
+        row[8] = lmax_exact(params, 2) / lmax_exact(params, 1)
     except Exception as err:  # noqa: BLE001
         errors.append(_sanitize(err))
     row[9] = "; ".join(errors)
@@ -373,9 +339,11 @@ def run_sweep(
 
     def point(args: tuple[float, float, int]) -> list:
         a, n0, nu = args
-        if regime == "low":
-            return _sweep_point_low(a, n0, nu, electrons, variant, end, samples)
-        return _sweep_point_high(a, n0, nu, electrons)
+        # As for the figures in ``main``, set per point: threads do not inherit it.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if regime == "low":
+                return _sweep_point_low(a, n0, nu, electrons, variant, end, samples)
+            return _sweep_point_high(a, n0, nu, electrons)
 
     if jobs > 1 and grid:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -550,27 +518,29 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         opts = _resolve_options(args)
-        if args.command == "validate":
-            return run_validate()
-        if args.command == "fig2":
-            path = run_fig2(**opts)
-        elif args.command == "fig3":
-            if "panel" not in opts:
-                raise ScenarioError("fig3 needs --panel top or --panel bottom")
-            path = run_fig3(**opts)
-        elif args.command == "fig4":
-            path = run_fig4(**opts)
-        else:
+        if args.command == "fig3" and "panel" not in opts:
+            raise ScenarioError("fig3 needs --panel top or --panel bottom")
+        if args.command == "sweep":
             renames = {"alpha": "alphas", "n0": "n0s", "resonance": "resonances"}
             path = run_sweep(**{renames.get(k, k): v for k, v in opts.items()})
-        print(f"wrote {path}")
-        return 0
-    except ScenarioError as err:
+        elif args.command != "validate":
+            # A value that overflows or turns NaN raises instead of reaching the CSV.
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                path = {"fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4}[args.command](**opts)
+    except ValueError as err:  # a ScenarioError, or a domain check of the library
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except ArithmeticError as err:  # e.g. --alpha 1e300 overflowing alpha**2
+        print(f"error: the inputs leave floating-point range: {err}", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    if args.command == "validate":
+        # validate takes no values, so an error there is a fault: it keeps its traceback.
+        return run_validate()
+    print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via the console script

@@ -36,6 +36,7 @@ __all__ = [
     "Extremum",
     "boxcar_smooth",
     "first_maximum",
+    "sample_axis",
 ]
 
 #: Levels this close to the truncation edge are excluded from reported
@@ -193,6 +194,20 @@ class BandedHermitianOperator:
         return h
 
 
+def sample_axis(end: float, samples: int) -> np.ndarray:
+    """``samples`` equally spaced abscissae from 0 to ``end``, both included.
+
+    The one check of a span and a sample count: every figure runner and
+    propagator takes its axis from here, so a span must be positive and
+    finite and a sample count an integer of at least 2 everywhere.
+    """
+    if not (end > 0 and np.isfinite(end)):
+        raise ValueError(f"end must be positive and finite, got {end}")
+    if not isinstance(samples, Integral) or samples < 2:
+        raise ValueError(f"samples must be at least 2 (an integer), got {samples!r}")
+    return np.linspace(0.0, end, samples)
+
+
 @dataclass
 class Trace:
     """Sampled observable series: one abscissa, named columns of equal length."""
@@ -205,7 +220,7 @@ class Trace:
         self.x = np.asarray(self.x, dtype=float)
         if self.x.ndim != 1 or self.x.size < 2:
             raise ValueError("abscissa must be 1-D with at least two samples")
-        if np.any(np.diff(self.x) <= 0):
+        if not np.all(np.diff(self.x) > 0):
             raise ValueError("abscissae must be strictly increasing")
         for name, col in self.columns.items():
             col = np.asarray(col)

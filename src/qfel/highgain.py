@@ -31,7 +31,7 @@ from typing import Dict
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .core import BandedHermitianOperator, FelParams, Trace
+from .core import BandedHermitianOperator, FelParams, Trace, sample_axis
 from .specfun import elliptic_K, jacobi_cn, modulus_from_seed
 
 __all__ = [
@@ -192,10 +192,8 @@ def propagate_dicke(
     ``P[mu]`` column as well; that grows as (N+1) x sample_count, so it is
     meant for small systems (oracle cross-checks), not figure-scale runs.
     """
-    if ell_end <= 0:
-        raise ValueError("ell_end must be positive")
     p = model.params
-    steps = np.linspace(0.0, ell_end, sample_count)
+    steps = sample_axis(ell_end, sample_count)
     a, d = _coefficient_arrays(model)
     s = model.photon_step
     mus = np.arange(p.N + 1, dtype=float)
@@ -279,8 +277,6 @@ def analytic_n_first(
     """
     if order not in (1, 3):
         raise ValueError("order must be 1 or 3")
-    if params.n0 <= 0:
-        raise ValueError("the closed form needs a seeded field (n0 > 0)")
     r = params.seed_ratio
     k = modulus_from_seed(params.n0, params.N)
     bigk = elliptic_K(k)
@@ -334,8 +330,7 @@ def integrate_semiclassical(
         raise ValueError("the mean-field route needs a seeded field (n0 > 0)")
     if params.nu != 2:
         raise ValueError("the mean-field route models the second resonance (nu = 2)")
-    if ell_end <= 0:
-        raise ValueError("ell_end must be positive")
+    ells = sample_axis(ell_end, sample_count)
     alpha, N = params.alpha, params.N
 
     def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
@@ -348,7 +343,6 @@ def integrate_semiclassical(
         return np.array([da.real, da.imag, db0.real, db0.imag, db2.real, db2.imag])
 
     y0 = np.array([np.sqrt(params.n0), 0.0, np.sqrt(N), 0.0, 0.0, 0.0])
-    ells = np.linspace(0.0, ell_end, sample_count)
     # scipy.integrate takes longer to import than the rest of the package
     # together, and this is its only use.
     from scipy.integrate import solve_ivp
@@ -411,8 +405,8 @@ def lmax_ratio(alpha: float, n0_over_N: float) -> float:
     """
     if not 0.0 < n0_over_N < 1.0:
         raise ValueError("the logarithmic form needs 0 < n0/N < 1")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (alpha > 0 and np.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     log = np.log(np.sqrt(1.0 / n0_over_N))
     return float(np.pi / (2.0 * alpha * log * np.sqrt(n0_over_N * (n0_over_N + 2.0))))
 

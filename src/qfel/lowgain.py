@@ -33,6 +33,7 @@ from .core import (
     LadderState,
     Trace,
     first_maximum,
+    sample_axis,
 )
 
 __all__ = [
@@ -223,10 +224,7 @@ def propagate(
     h = op.dense().real
     if state.amplitudes.size != op.size:
         raise ValueError("state size does not match the model's ladder")
-
-    if tau_end <= 0:
-        raise ValueError("tau_end must be positive")
-    taus = np.linspace(0.0, tau_end, sample_count)
+    taus = sample_axis(tau_end, sample_count)
     w, v = np.linalg.eigh(h)
     c0 = v.T @ state.amplitudes
     phases = np.exp(-1j * np.outer(w, taus)) * c0[:, None]

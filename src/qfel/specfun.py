@@ -95,10 +95,10 @@ def modulus_from_seed(n0: float, N: float) -> EllipticModulus:
     """Modulus (1 + n0/N)**-1/2 entering the first-resonance photon solution.
 
     A seedless field (n0 = 0) degenerates to k = 1, where the oscillation
-    period diverges; that case is rejected by the modulus constraint.
+    period diverges, so the closed forms built on this modulus need n0 > 0.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    if n0 < 0:
-        raise ValueError("n0 must be non-negative")
+    if not n0 > 0:
+        raise ValueError(f"the modulus needs a seeded field: n0 > 0, got {n0}")
     return EllipticModulus((1.0 + n0 / N) ** -0.5)

@@ -77,11 +77,11 @@ class ValidationContext:
     def __init__(self) -> None:
         self._cache: dict = {}
 
-    def low_full_trace(self, nu: int, alpha: float = 0.25, m_scale: int = 1, periods: float = 1.05) -> Trace:
-        key = ("low_full", nu, alpha, m_scale, periods)
+    def low_full_trace(self, nu: int, m_scale: int = 1) -> Trace:
+        key = ("low_full", nu, m_scale)
         if key not in self._cache:
-            params = _low_params(nu, alpha, m_scale)
-            tau_end = periods * np.pi / gain_frequency(abs(nu), alpha)
+            params = _low_params(nu, m_scale=m_scale)
+            tau_end = 1.05 * np.pi / gain_frequency(abs(nu), params.alpha)
             model = LowGainModel(params=params, variant="full_hamiltonian")
             self._cache[key] = propagate(
                 model, LadderState.initial(params), tau_end, _LOW_SAMPLES[abs(nu)]

@@ -1,9 +1,16 @@
 """Command-line interface: CSV contracts, determinism, exit codes."""
 
+import contextlib
+import io
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfel import cli
 from qfel.core import FelParams, first_maximum
@@ -232,6 +239,15 @@ class TestSweepHigh:
                 assert np.isnan(cols["max_position"][i])
                 assert np.isfinite(cols["length_ratio_shorthand"][i])
 
+    def test_non_finite_alpha_row(self, tmp_path):
+        out = tmp_path / "inf.csv"
+        assert cli.main(["sweep", "--regime", "high", "--alpha", "inf", "--out", str(out)]) == 0
+        _, _, cols = _read_csv(out)
+        assert len(cols["alpha"]) == 2
+        for i in range(2):
+            assert np.isnan(cols["length_ratio_shorthand"][i])
+            assert cols["error"][i].count("alpha must be finite") == 1
+
     def test_rejects_low_regime_only_flags(self, capsys):
         for flag, value in (("--variant", "dicke_only"), ("--end", "10"), ("--samples", "100")):
             assert cli.main(["sweep", "--regime", "high", flag, value]) == 2
@@ -283,7 +299,7 @@ class TestExitCodes:
             (["fig2", "--alpha", "nan"], "alpha must be positive"),
             (["fig4", "--alpha", "0"], "alpha must be positive"),
             (["fig3", "--panel", "top", "--electrons", "0"], "N must be a positive integer"),
-            (["fig3", "--panel", "top", "--end", "0"], "end (L/L_g span) must be positive"),
+            (["fig3", "--panel", "top", "--end", "0"], "end must be positive and finite"),
             (["fig4", "--n0", "1e9"], "phase factor breaks down"),
             (["fig2", "--alpha", "inf"], "alpha must be finite"),
             (["fig3", "--panel", "top", "--n0", "nan"], "n0 must be finite"),
@@ -306,6 +322,64 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             cli.main(["transmogrify"])
         assert info.value.code == 2
+
+
+#: Flag values for the fuzz test: non-finite, signed, zero, tiny, ordinary,
+#: huge, not a number and empty.
+FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "0.3", "2", "1e300", "x", "")
+#: Numeric flags per command; ``--jobs`` is left out so no call starts threads.
+FUZZ_FLAGS = {
+    ("fig2",): ("alpha", "end", "samples"),
+    ("fig3", "--panel=top"): ("alpha", "n0", "electrons", "end", "samples"),
+    ("fig3", "--panel=bottom"): ("alpha", "n0", "electrons", "end", "samples"),
+    ("fig4",): ("alpha", "n0", "electrons", "end", "samples"),
+    ("sweep",): ("alpha", "n0", "resonance", "electrons", "end", "samples"),
+    ("sweep", "--regime=high"): ("alpha", "n0", "resonance", "electrons", "end", "samples"),
+}
+#: Sweep columns each regime fills; the others are NaN by design.
+SWEEP_FILLED = {
+    "low": ("alpha", "fitted_frequency", "max_amplitude", "max_position"),
+    "high": ("alpha", "n0", "max_amplitude", "max_position", "length_ratio_shorthand", "length_ratio_exact"),
+}
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = draw(st.permutations(FUZZ_FLAGS[command]))[: draw(st.integers(1, 2))]
+    # --flag=value, so that argparse takes "-inf" as a value, not as an option.
+    argv = list(command) + [f"--{flag}={draw(st.sampled_from(FUZZ_VALUES))}" for flag in flags]
+    if command[0] == "fig3" and "electrons" not in flags:
+        argv.append("--electrons=24")  # keeps the collective solve small
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example(["fig2", "--end=nan"])
+    @example(["fig4", "--alpha=1e300"])
+    @given(argv=cli_calls())
+    def test_a_value_gives_a_finite_csv_or_one_error_line(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.csv"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv + [f"--out={out}"])
+            lines = err.getvalue().splitlines()
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert lines and lines[-1].startswith("error: ")
+                assert not out.exists()
+            if code != 0:
+                return
+            _, _, cols = _read_csv(out)
+            if argv[0] != "sweep":
+                assert all(np.all(np.isfinite(col)) for col in cols.values())
+                return
+            filled = SWEEP_FILLED["high" if "--regime=high" in argv else "low"]
+            for i, error in enumerate(cols["error"]):
+                assert error or all(math.isfinite(cols[name][i]) for name in filled), (i, error)
 
 
 class TestValidateCommand:

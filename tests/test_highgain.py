@@ -285,8 +285,9 @@ class TestLengthFormulas:
         for bad_r in (0.0, 1.0, 1.5, -0.1):
             with pytest.raises(ValueError):
                 lmax_ratio(0.25, bad_r)
-        with pytest.raises(ValueError):
-            lmax_ratio(0.0, 0.1)
+        for bad_alpha in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                lmax_ratio(bad_alpha, 0.1)
 
     def test_exact_positions_match_sampled_curves(self):
         p1 = _params(1, alpha=0.25, n0=1000.0, N=10_000)

@@ -4,6 +4,7 @@ SciPy's heavy submodules load only when a route needs them.
 """
 
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -59,13 +60,20 @@ def test_mean_field_route_loads_scipy_integrate(stages):
     assert stages["mean_field"]["scipy.optimize"]
 
 
+def _bench_module(name):
+    """Load ``perfbench/<name>.py`` by path; perfbench is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"qfel_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_targets_resolve():
     # perfbench/tracing.py rebinds these names on a traced run; a deleted or
     # renamed target would make ``Tracer.install`` fail with AttributeError.
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("qfel_bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _bench_module("tracing")
     import qfel.cli
     import qfel.validate
 
@@ -73,3 +81,14 @@ def test_benchmark_tracer_targets_resolve():
         assert callable(getattr(getattr(qfel, module), attr, None)), name
     assert callable(qfel.core.BandedHermitianOperator.dense)
     assert len(qfel.validate.CHECKS) == 9
+
+
+def test_benchmark_validate_traces_bind():
+    # perfbench/workloads.py reads each cached validate trace back through
+    # ``ctx.collective_trace(*key)``; a signature change there would fail every
+    # benchmark validate op while the rest of Tier-1 stayed green.
+    import qfel.validate
+
+    signature = inspect.signature(qfel.validate.ValidationContext.collective_trace)
+    for key, _check in _bench_module("workloads").VALIDATE_TRACES:
+        signature.bind(None, *key)
