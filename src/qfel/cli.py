@@ -317,9 +317,10 @@ def run_sweep(
     if regime not in ("low", "high"):
         raise ScenarioError(f"regime must be 'low' or 'high', got {regime!r}")
     if regime == "low":
-        n0s = (0.0,) if n0s is None else n0s
+        if n0s is not None or electrons is not None:
+            raise ScenarioError("the low-gain sweep follows one unseeded electron; --n0/--electrons do not apply")
+        n0s, electrons = (0.0,), 1
         resonances = (1, 2, 3) if resonances is None else resonances
-        electrons = 1 if electrons is None else electrons
         variant = "full_hamiltonian" if variant is None else variant
         if variant not in ("full_hamiltonian", "effective"):
             raise ScenarioError(
@@ -515,7 +516,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse reads a value such as "-inf" or "-1e-3" as an unknown option, so
+    # "--end -inf" goes on as "--end=-inf": every flag but --help takes one value.
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        last = tokens[-1] if tokens else ""
+        awaits_value = last.startswith("--") and "=" not in last and last != "--help"
+        if awaits_value and token.startswith("-") and not token.startswith("--"):
+            tokens[-1] += f"={token}"
+        else:
+            tokens.append(token)
+    args = build_parser().parse_args(tokens)
     try:
         opts = _resolve_options(args)
         if args.command == "fig3" and "panel" not in opts:

@@ -11,8 +11,8 @@ tridiagonal system in the scaled undulator length ell = L/L_g,
 whose coefficient formulas per resonance and model variant live in
 ``build_dicke_tridiagonal``.  Cross-checking routes:
 
-* ``propagate_dicke`` — exact-in-time evolution of the tridiagonal system
-  (eigendecomposition, or a Chebyshev polynomial propagator for very large N);
+* ``propagate_dicke`` — exact-in-time evolution of the tridiagonal system; an
+  eigendecomposition or a Chebyshev series supplies the amplitudes;
 * ``analytic_n_first`` / ``analytic_n_second`` — closed-form photon numbers
   (Jacobi-elliptic for the first resonance, trigonometric-semiclassical for
   the second);
@@ -26,7 +26,7 @@ whose coefficient formulas per resonance and model variant live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Iterator
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -59,6 +59,9 @@ VARIANTS: Dict[int, tuple[str, ...]] = {
 #: Largest electron count for which the eigendecomposition route is the
 #: default; beyond this the Chebyshev propagator takes over.
 EIGH_LIMIT = 20_000
+
+#: One block of amplitudes from a route: (samples, Re c, Im c), c of shape (N+1, k).
+_Blocks = Iterator[tuple[slice, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -120,19 +123,12 @@ def build_dicke_tridiagonal(model: HighGainModel) -> BandedHermitianOperator:
     return BandedHermitianOperator(size=model.params.N + 1, bands={0: d, 1: a})
 
 
-def _gershgorin_bounds(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
-    radius = np.zeros_like(diag)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    return float(np.min(diag - radius)), float(np.max(diag + radius))
-
-
 def jv(order, z):
     """Bessel function of the first kind J_order(z), from ``scipy.special``.
 
     ``scipy.special`` is imported on the first call rather than with the
     package, since only the Chebyshev route needs it.  The name stays a
-    module global so the step's coefficient calls resolve (and can be
+    module global so the route's coefficient call resolves (and can be
     counted) here.
     """
     from scipy.special import jv as bessel_j
@@ -140,37 +136,61 @@ def jv(order, z):
     return bessel_j(order, z)
 
 
-def _chebyshev_step(
-    diag: np.ndarray, off: np.ndarray, psi: np.ndarray, dt: float, lo: float, hi: float
-) -> np.ndarray:
-    """One exact-in-dt evolution step via a Chebyshev expansion of exp(-i H dt).
+def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
+    """Amplitudes from one eigendecomposition, exact in ell, 64 samples per block."""
+    try:
+        w, v = eigh_tridiagonal(d, a, lapack_driver="stemr")
+    except np.linalg.LinAlgError as err:  # pragma: no cover - driver fallback
+        raise RuntimeError(f"tridiagonal eigensolver failed: {err}") from err
+    u = v[0, :]  # initial state c_mu = delta_{mu,0} in the eigenbasis
+    for start in range(0, steps.size, 64):
+        sl = slice(start, start + 64)
+        phase = np.exp(-1j * np.outer(w, steps[sl])) * u[:, None]
+        # Two real GEMMs instead of one complex one: halves peak memory
+        # next to the (N+1)^2 eigenvector matrix.
+        cr = v @ np.ascontiguousarray(phase.real)
+        ci = v @ np.ascontiguousarray(phase.imag)
+        yield sl, cr, ci
+
+
+def _chebyshev_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
+    """Amplitudes from one Chebyshev series of exp(-i H dt), applied once per sample.
 
     The spectrum is mapped to [-1, 1] with the Gershgorin bounds; the
     expansion degree grows linearly with the spectral half-width times dt,
     with enough margin that the Bessel coefficients have decayed below
     double-precision roundoff.
     """
+    radius = np.zeros_like(d)
+    radius[:-1] += np.abs(a)
+    radius[1:] += np.abs(a)
+    lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
+    dt = steps[1] - steps[0]
     z = half * dt
     degree = int(z + 25 + 12 * z ** (1.0 / 3.0)) if z > 0 else 25
-    coeff = jv(np.arange(degree + 1), z)
-
-    shifted = diag - mid
+    # Term k weighs exp(-i mid dt) (2 - delta_k0) (-i)^k J_k(z); (-i)^k is exact from its period.
+    k = np.arange(degree + 1)
+    weights = np.exp(-1j * mid * dt) * np.array([2.0, -2j, -2.0, 2j])[k % 4] * jv(k, z)
+    weights[0] /= 2.0
+    shifted = d - mid
 
     def matvec(v: np.ndarray) -> np.ndarray:
         out = shifted * v
-        out[:-1] += off * v[1:]
-        out[1:] += off * v[:-1]
+        out[:-1] += a * v[1:]
+        out[1:] += a * v[:-1]
         return out / half
 
-    phi_prev = psi
-    phi = matvec(psi)
-    acc = coeff[0] * phi_prev + 2.0 * (-1j) * coeff[1] * phi
-    for k in range(2, degree + 1):
-        phi_prev, phi = phi, 2.0 * matvec(phi) - phi_prev
-        acc = acc + 2.0 * ((-1j) ** k) * coeff[k] * phi
-    return np.exp(-1j * mid * dt) * acc
+    psi = np.zeros(d.size, dtype=complex)
+    psi[0] = 1.0
+    for i in range(1, steps.size):
+        phi_prev, phi = psi, matvec(psi)
+        psi = weights[0] * phi_prev + weights[1] * phi
+        for weight in weights[2:]:
+            phi_prev, phi = phi, 2.0 * matvec(phi) - phi_prev
+            psi += weight * phi
+        yield slice(i, i + 1), psi.real[:, None], psi.imag[:, None]
 
 
 def propagate_dicke(
@@ -183,8 +203,9 @@ def propagate_dicke(
     """Photon number n(ell) from the seeded Fock state, with conservation audit.
 
     Methods: ``"eigh"`` diagonalizes the tridiagonal once and is exact in
-    ell (default up to N = 20000); ``"chebyshev"`` is a polynomial propagator
-    with O(N) memory for larger systems.  Both must conserve norm and energy
+    ell (default up to N = 20000); ``"chebyshev"`` is a polynomial series with
+    O(N) memory, set up once per call.  Each only supplies amplitudes, and one
+    loop turns them into the observables.  Both must conserve norm and energy
     to 1e-8 over figure-length runs — that is the gate, not the method.
 
     Returns a Trace over ell = L/L_g with columns ``n``, ``norm``, ``energy``.
@@ -200,65 +221,29 @@ def propagate_dicke(
 
     if method == "auto":
         method = "eigh" if p.N <= EIGH_LIMIT else "chebyshev"
-
-    prob_out = np.empty((p.N + 1, sample_count)) if keep_probabilities else None
-
-    if method == "eigh":
-        try:
-            w, v = eigh_tridiagonal(d, a, lapack_driver="stemr")
-        except np.linalg.LinAlgError as err:  # pragma: no cover - driver fallback
-            raise RuntimeError(f"tridiagonal eigensolver failed: {err}") from err
-        u = v[0, :]  # initial state c_mu = delta_{mu,0} in the eigenbasis
-        n_out = np.empty(sample_count)
-        norm_out = np.empty(sample_count)
-        energy_out = np.empty(sample_count)
-        chunk = max(1, min(64, sample_count))
-        for start in range(0, sample_count, chunk):
-            ells = steps[start : start + chunk]
-            phase = np.exp(-1j * np.outer(w, ells)) * u[:, None]
-            # Two real GEMMs instead of one complex one: halves peak memory
-            # next to the (N+1)^2 eigenvector matrix.
-            cr = v @ np.ascontiguousarray(phase.real)
-            ci = v @ np.ascontiguousarray(phase.imag)
-            probs = cr**2 + ci**2
-            sl = slice(start, start + ells.size)
-            norm_out[sl] = probs.sum(axis=0)
-            n_out[sl] = p.n0 * norm_out[sl] + s * (mus[:, None] * probs).sum(axis=0)
-            cross = (cr[:-1] * cr[1:] + ci[:-1] * ci[1:]).T @ a
-            energy_out[sl] = probs.T @ d + 2.0 * cross
-            if prob_out is not None:
-                prob_out[:, sl] = probs
-        # The ell = 0 propagator is the identity; pin the seed row exactly
-        # instead of keeping the eigenbasis round-trip noise.
-        norm_out[0] = 1.0
-        n_out[0] = float(p.n0)
-        energy_out[0] = float(d[0])
-        if prob_out is not None:
-            prob_out[:, 0] = 0.0
-            prob_out[0, 0] = 1.0
-    elif method == "chebyshev":
-        lo, hi = _gershgorin_bounds(d, a)
-        psi = np.zeros(p.N + 1, dtype=complex)
-        psi[0] = 1.0
-        n_out = np.empty(sample_count)
-        norm_out = np.empty(sample_count)
-        energy_out = np.empty(sample_count)
-        dt = steps[1] - steps[0]
-        for i in range(sample_count):
-            if i > 0:
-                psi = _chebyshev_step(d, a, psi, dt, lo, hi)
-            probs = np.abs(psi) ** 2
-            norm_out[i] = probs.sum()
-            n_out[i] = p.n0 * norm_out[i] + s * float(mus @ probs)
-            cross = float(a @ (np.conj(psi[:-1]) * psi[1:]).real)
-            energy_out[i] = float(d @ probs) + 2.0 * cross
-            if prob_out is not None:
-                prob_out[:, i] = probs
-    else:
+    routes = {"eigh": _eigh_blocks, "chebyshev": _chebyshev_blocks}
+    if method not in routes:
         raise ValueError(f"unknown method {method!r}")
 
+    n_out, norm_out, energy_out = np.empty((3, sample_count))
+    prob_out = np.empty((p.N + 1, sample_count)) if keep_probabilities else None
+    for sl, cr, ci in routes[method](d, a, steps):
+        probs = cr**2 + ci**2
+        norm_out[sl] = probs.sum(axis=0)
+        n_out[sl] = p.n0 * norm_out[sl] + s * (mus[:, None] * probs).sum(axis=0)
+        cross = (cr[:-1] * cr[1:] + ci[:-1] * ci[1:]).T @ a
+        energy_out[sl] = probs.T @ d + 2.0 * cross
+        if prob_out is not None:
+            prob_out[:, sl] = probs
+    # The ell = 0 propagator is the identity; pin the seed row exactly, which
+    # drops the eigenbasis round-trip noise and fills the row Chebyshev skips.
+    norm_out[0] = 1.0
+    n_out[0] = float(p.n0)
+    energy_out[0] = float(d[0])
     columns = {"n": n_out, "norm": norm_out, "energy": energy_out}
     if prob_out is not None:
+        prob_out[:, 0] = 0.0
+        prob_out[0, 0] = 1.0
         for mu in range(p.N + 1):
             columns[f"P[{mu}]"] = prob_out[mu]
     return Trace(axis_label="L_over_Lg", x=steps, columns=columns)

@@ -176,15 +176,15 @@ def check_first_resonance_collective(ctx: ValidationContext) -> CheckResult:
     ell = trace.x
     order3 = analytic_n_first(ell, params, order=3)
     order1 = analytic_n_first(ell, params, order=1)
-    p3 = first_maximum(ell, np.asarray(order3)).position
-    p1 = first_maximum(ell, np.asarray(order1)).position
+    p3 = first_maximum(ell, order3).position
+    p1 = first_maximum(ell, order1).position
     shift = (p3 - p1) / p3
     predicted = (params.alpha**2 / 8.0) * (1.0 + 2.0 * params.seed_ratio)
     shift_dev = shift / predicted - 1.0
     shift_ok = abs(shift_dev) <= 0.10
     # A pure phase shift means the two curves coincide after rescaling ell.
     corr = 1.0 - predicted
-    pure = float(np.max(np.abs(np.asarray(analytic_n_first(ell, params, 3)) - np.asarray(analytic_n_first(corr * ell, params, 1)))))
+    pure = float(np.max(np.abs(order3 - analytic_n_first(corr * ell, params, 1))))
     pure_ok = pure <= 1e-6 * target
     ok = ok and shift_ok and pure_ok
     detail = (

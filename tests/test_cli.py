@@ -272,6 +272,15 @@ class TestScenarioFiles:
         err = capsys.readouterr().err
         assert "alhpa" in err and "known:" in err
 
+    def test_low_sweep_rejects_a_seed_from_the_file(self, tmp_path, capsys):
+        # A file value is checked as the flag would be: the low regime has no seed.
+        cfg = tmp_path / "low.cfg"
+        cfg.write_text("n0 = 5\n")
+        out = tmp_path / "x.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "--n0/--electrons do not apply" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_line_reports_position(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("alpha 0.3\n")
@@ -303,6 +312,12 @@ class TestExitCodes:
             (["fig4", "--n0", "1e9"], "phase factor breaks down"),
             (["fig2", "--alpha", "inf"], "alpha must be finite"),
             (["fig3", "--panel", "top", "--n0", "nan"], "n0 must be finite"),
+            (
+                ["sweep", "--n0", "nan", "--electrons", "-5", "--alpha", "0.2", "--resonance", "1"],
+                "--n0/--electrons do not apply",
+            ),
+            (["fig2", "--end", "-inf"], "end must be positive and finite"),
+            (["fig2", "--alpha", "-1e-3"], "alpha must be positive"),
         ],
     )
     def test_bad_parameter_is_a_one_line_usage_error(self, argv, message, tmp_path, capsys):
@@ -347,8 +362,11 @@ SWEEP_FILLED = {
 def cli_calls(draw):
     command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
     flags = draw(st.permutations(FUZZ_FLAGS[command]))[: draw(st.integers(1, 2))]
-    # --flag=value, so that argparse takes "-inf" as a value, not as an option.
-    argv = list(command) + [f"--{flag}={draw(st.sampled_from(FUZZ_VALUES))}" for flag in flags]
+    argv = list(command)
+    for flag in flags:
+        value = draw(st.sampled_from(FUZZ_VALUES))
+        # Both spellings are one call: "--end -inf" must not read "-inf" as an option.
+        argv += [f"--{flag}", value] if draw(st.booleans()) else [f"--{flag}={value}"]
     if command[0] == "fig3" and "electrons" not in flags:
         argv.append("--electrons=24")  # keeps the collective solve small
     return argv
@@ -358,6 +376,7 @@ class TestFuzz:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @example(["fig2", "--end=nan"])
     @example(["fig4", "--alpha=1e300"])
+    @example(["fig2", "--end", "-inf"])
     @given(argv=cli_calls())
     def test_a_value_gives_a_finite_csv_or_one_error_line(self, argv):
         with tempfile.TemporaryDirectory() as tmp:

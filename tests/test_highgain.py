@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import expm_populations
+from qfel import highgain
 from qfel.core import FelParams, first_maximum
 from qfel.highgain import (
     VARIANTS,
@@ -117,11 +118,14 @@ class TestCoefficients:
 
 
 class TestPropagation:
-    def test_seed_row_is_exact(self):
+    @pytest.mark.parametrize("method", ["eigh", "chebyshev"])
+    def test_seed_row_is_exact(self, method):
         model = HighGainModel(params=_params(2, n0=7.0, N=30), variant="full_second_order")
-        trace = propagate_dicke(model, 10.0, 21)
+        trace = propagate_dicke(model, 10.0, 21, method=method)
+        d = build_dicke_tridiagonal(model).bands[0]
         assert trace.column("n")[0] == 7.0
         assert trace.column("norm")[0] == 1.0
+        assert trace.column("energy")[0] == d[0]
 
     @pytest.mark.parametrize(
         "nu, variant",
@@ -129,11 +133,31 @@ class TestPropagation:
     )
     def test_eigh_and_chebyshev_agree_per_level(self, nu, variant):
         model = HighGainModel(params=_params(nu, alpha=0.4, n0=3.0, N=24), variant=variant)
-        kwargs = dict(sample_count=7, keep_probabilities=True)
-        t1 = propagate_dicke(model, 15.0, method="eigh", **kwargs)
-        t2 = propagate_dicke(model, 15.0, method="chebyshev", **kwargs)
-        for mu in range(25):
-            assert np.max(np.abs(t1.column(f"P[{mu}]") - t2.column(f"P[{mu}]"))) < 1e-9
+        # 130 samples cross the eigh route's blocks of 64 twice.
+        for samples in (7, 130):
+            kwargs = dict(sample_count=samples, keep_probabilities=True)
+            t1 = propagate_dicke(model, 15.0, method="eigh", **kwargs)
+            t2 = propagate_dicke(model, 15.0, method="chebyshev", **kwargs)
+            for mu in range(25):
+                assert np.max(np.abs(t1.column(f"P[{mu}]") - t2.column(f"P[{mu}]"))) < 1e-9
+            for name in ("n", "norm", "energy"):
+                ref = t1.column(name)
+                scale = max(1.0, np.max(np.abs(ref))) if name == "energy" else np.max(np.abs(ref))
+                assert np.max(np.abs(t2.column(name) - ref)) <= 1e-10 * scale, (samples, name)
+
+    def test_chebyshev_series_is_set_up_once_per_call(self, monkeypatch):
+        # The samples are equally spaced, so one set of Bessel coefficients serves every step.
+        calls = []
+        original = highgain.jv
+
+        def counting_jv(order, z):
+            calls.append(z)
+            return original(order, z)
+
+        monkeypatch.setattr(highgain, "jv", counting_jv)
+        model = HighGainModel(params=_params(1, n0=4.0, N=16), variant="third_order")
+        propagate_dicke(model, 6.0, 7, method="chebyshev")
+        assert len(calls) == 1
 
     def test_matches_dense_expm_oracle(self):
         model = HighGainModel(params=_params(1, alpha=0.5, n0=2.0, N=12), variant="third_order")

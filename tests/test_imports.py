@@ -92,3 +92,25 @@ def test_benchmark_validate_traces_bind():
     signature = inspect.signature(qfel.validate.ValidationContext.collective_trace)
     for key, _check in _bench_module("workloads").VALIDATE_TRACES:
         signature.bind(None, *key)
+
+
+
+def test_benchmark_tracer_argument_hooks_bind():
+    # The tracer's level counters read ``model``, ``sample_count`` and ``state``
+    # from each bound call by name; a renamed parameter would pass every
+    # untraced run and fail only a traced benchmark run.
+    from qfel import FelParams, HighGainModel, LadderState, LowGainModel, propagate, propagate_dicke
+
+    tracing = _bench_module("tracing")
+    assert tracing._AFTER["highgain.propagate_dicke"] is tracing._dicke_levels
+    assert tracing._AFTER["lowgain.propagate"] is tracing._ladder_levels
+    tracer = tracing.Tracer("tier1")
+    high = FelParams(alpha=0.25, nu=1, n0=10.0, N=50, context="high")
+    model = HighGainModel(params=high, variant="third_order")
+    tracing._dicke_levels(tracer, inspect.signature(propagate_dicke).bind(model, 1.0, sample_count=5), None)
+    low = FelParams(alpha=0.25, nu=1, context="low")
+    state = LadderState.initial(low)
+    call = inspect.signature(propagate).bind(LowGainModel(params=low, variant="full_hamiltonian"), state, 1.0, sample_count=5)
+    tracing._ladder_levels(tracer, call, None)
+    assert tracer.counts["highgain.level_samples"] == 51 * 5
+    assert tracer.counts["lowgain.level_samples"] == state.amplitudes.size * 5
