@@ -137,20 +137,38 @@ def jv(order, z):
 
 
 def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
-    """Amplitudes from one eigendecomposition, exact in ell, 64 samples per block."""
+    """Amplitudes from one eigendecomposition, exact in ell, 64 samples per block.
+
+    The seed |0> weighs eigenvector j by u_j = v[0, j] (Golub-Welsch), and
+    ``stemr`` returns an exact 0.0 for most u_j, so the phases
+    exp(-i w_j ell) u_j are computed on the support rows only.  Every other
+    row of the GEMM input is an exact zero, as it was when computed in full,
+    up to the sign of zero.  Re and Im of 128 samples sit side by side in one
+    real (N+1, 256) input, so one GEMM streams the eigenvector matrix where
+    four (N+1, 64) products did.  The result is handed out as 64-sample
+    views, the shapes the observable sums were recorded with.
+
+    The sizes keep every output bit: a GEMM 512 columns wide, observable
+    sums over 128 samples, or a GEMM whose inner dimension is cut to the
+    support all change the roundoff of the outputs.
+    """
     try:
         w, v = eigh_tridiagonal(d, a, lapack_driver="stemr")
-    except np.linalg.LinAlgError as err:  # pragma: no cover - driver fallback
+    except np.linalg.LinAlgError as err:
         raise RuntimeError(f"tridiagonal eigensolver failed: {err}") from err
-    u = v[0, :]  # initial state c_mu = delta_{mu,0} in the eigenbasis
-    for start in range(0, steps.size, 64):
-        sl = slice(start, start + 64)
-        phase = np.exp(-1j * np.outer(w, steps[sl])) * u[:, None]
-        # Two real GEMMs instead of one complex one: halves peak memory
-        # next to the (N+1)^2 eigenvector matrix.
-        cr = v @ np.ascontiguousarray(phase.real)
-        ci = v @ np.ascontiguousarray(phase.imag)
-        yield sl, cr, ci
+    support = np.flatnonzero(v[0])
+    w, u = w[support], v[0, support]
+    for start in range(0, steps.size, 128):
+        t = steps[start : start + 128]
+        k = t.size
+        phase = np.exp(-1j * np.outer(w, t)) * u[:, None]
+        b = np.zeros((v.shape[0], 2 * k))
+        b[support, :k] = phase.real
+        b[support, k:] = phase.imag
+        c = v @ b
+        for lo in range(0, k, 64):
+            hi = min(lo + 64, k)
+            yield slice(start + lo, start + hi), c[:, lo:hi], c[:, k + lo : k + hi]
 
 
 def _chebyshev_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:

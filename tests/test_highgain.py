@@ -24,6 +24,19 @@ def _params(nu, alpha=0.25, n0=100.0, N=1000, **kw):
     return FelParams(alpha=alpha, nu=nu, n0=n0, N=N, context="high", **kw)
 
 
+def _assert_eigh_matches_chebyshev(model, span, samples):
+    """Both routes agree per level to 1e-9, and on n/norm/energy to 1e-10 of scale."""
+    kwargs = dict(sample_count=samples, keep_probabilities=True)
+    t1 = propagate_dicke(model, span, method="eigh", **kwargs)
+    t2 = propagate_dicke(model, span, method="chebyshev", **kwargs)
+    for mu in range(model.params.N + 1):
+        assert np.max(np.abs(t1.column(f"P[{mu}]") - t2.column(f"P[{mu}]"))) < 1e-9, (samples, mu)
+    for name in ("n", "norm", "energy"):
+        ref = t1.column(name)
+        scale = max(1.0, np.max(np.abs(ref))) if name == "energy" else np.max(np.abs(ref))
+        assert np.max(np.abs(t2.column(name) - ref)) <= 1e-10 * scale, (samples, name)
+
+
 class TestModelValidation:
     def test_requires_high_context(self):
         low = FelParams(alpha=0.25, nu=1, context="low")
@@ -133,17 +146,34 @@ class TestPropagation:
     )
     def test_eigh_and_chebyshev_agree_per_level(self, nu, variant):
         model = HighGainModel(params=_params(nu, alpha=0.4, n0=3.0, N=24), variant=variant)
-        # 130 samples cross the eigh route's blocks of 64 twice.
+        # 130 samples cross the eigh route's 64-sample views twice and its
+        # 128-sample GEMM blocks once.
         for samples in (7, 130):
-            kwargs = dict(sample_count=samples, keep_probabilities=True)
-            t1 = propagate_dicke(model, 15.0, method="eigh", **kwargs)
-            t2 = propagate_dicke(model, 15.0, method="chebyshev", **kwargs)
-            for mu in range(25):
-                assert np.max(np.abs(t1.column(f"P[{mu}]") - t2.column(f"P[{mu}]"))) < 1e-9
-            for name in ("n", "norm", "energy"):
-                ref = t1.column(name)
-                scale = max(1.0, np.max(np.abs(ref))) if name == "energy" else np.max(np.abs(ref))
-                assert np.max(np.abs(t2.column(name) - ref)) <= 1e-10 * scale, (samples, name)
+            _assert_eigh_matches_chebyshev(model, 15.0, samples)
+
+    @pytest.mark.parametrize(
+        "nu, alpha, span, variant",
+        [(1, 0.5, 7.0, "first_order"), (1, 0.5, 7.0, "third_order"),
+         (2, 0.25, 45.0, "dicke_only"), (2, 0.25, 45.0, "full_second_order")],
+    )
+    def test_eigh_skips_zero_seed_weights(self, nu, alpha, span, variant):
+        model = HighGainModel(params=_params(nu, alpha=alpha, n0=20.0, N=200), variant=variant)
+        # The eigh route computes phases only where the seed weight v[0, j] is
+        # nonzero; at N = 200 stemr returns exact zeros, so that path runs.
+        bands = build_dicke_tridiagonal(model).bands
+        _, v = highgain.eigh_tridiagonal(bands[0], bands[1], lapack_driver="stemr")
+        assert np.any(v[0] == 0.0)
+        # 300 samples: two 128-sample GEMM blocks, a 44-sample tail, 64-sample views.
+        _assert_eigh_matches_chebyshev(model, span, 300)
+
+    def test_eigensolver_failure_is_a_runtime_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("stemr info = 22")
+
+        monkeypatch.setattr(highgain, "eigh_tridiagonal", failing)
+        model = HighGainModel(params=_params(1, n0=4.0, N=16), variant="third_order")
+        with pytest.raises(RuntimeError, match="tridiagonal eigensolver failed: stemr info = 22"):
+            propagate_dicke(model, 6.0, 7, method="eigh")
 
     def test_chebyshev_series_is_set_up_once_per_call(self, monkeypatch):
         # The samples are equally spaced, so one set of Bessel coefficients serves every step.
