@@ -1,4 +1,4 @@
-"""Shared parameter bookkeeping, the ladder state, banded operators, and traces.
+"""Shared parameter bookkeeping, the ladder state, real band matrices, and traces.
 
 Everything in this package is dimensionless.  The electron lives on a discrete
 momentum ladder with spacing q (the two-photon recoil): level mu holds momentum
@@ -22,7 +22,7 @@ never inferred from parameter values.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Dict, NamedTuple
 
@@ -65,9 +65,9 @@ class FelParams:
     N:
         Electron count (high gain); a positive integer.
     M:
-        Ladder truncation half-width (low gain).  Defaults to ``|nu| + 8``;
-        must be at least ``|nu| + 3`` so every coupling of the effective
-        models fits inside the truncated ladder.
+        Ladder truncation half-width (low gain), an integer.  Defaults to
+        ``|nu| + 8``; must be at least ``|nu| + 3`` so every coupling of the
+        effective models fits inside the truncated ladder.
     order:
         Expansion order for the effective low-gain models; ``None`` selects
         each resonance's highest tabulated order.
@@ -103,6 +103,8 @@ class FelParams:
             raise ValueError(f"n0 must be finite, got {self.n0}")
         if not isinstance(self.N, Integral) or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
+        if self.M is not None and not isinstance(self.M, Integral):
+            raise ValueError(f"M must be an integer, got {self.M}")
         m = self.ladder_halfwidth
         if m < abs(self.nu) + 3:
             raise ValueError(
@@ -124,7 +126,6 @@ class FelParams:
 class LadderState:
     """Single-electron amplitudes over momentum levels p - mu*q, mu in [-M, M]."""
 
-    nu: int
     amplitudes: np.ndarray  # complex, length 2*M + 1, index mu + M
 
     def __post_init__(self) -> None:
@@ -138,59 +139,38 @@ class LadderState:
         m = params.ladder_halfwidth
         amps = np.zeros(2 * m + 1, dtype=complex)
         amps[m] = 1.0
-        return cls(nu=params.nu, amplitudes=amps)
+        return cls(amplitudes=amps)
 
 
 @dataclass
 class BandedHermitianOperator:
-    """Hermitian band matrix with optional per-entry oscillation frequencies.
+    """Real symmetric band matrix, stored by its diagonal and upper bands.
 
-    Only the diagonal and upper bands are stored; the lower bands are the
-    conjugate transpose by construction, so every materialized matrix is
-    Hermitian for every time.  ``bands[d][i]`` is the static entry H[i, i+d]
-    for band distance ``d in [0, half_bandwidth]``; if ``freqs`` carries a
-    matching array, the entry at time tau is ``bands[d][i] * exp(1j *
-    freqs[d][i] * tau)``.
+    ``bands[d][i]`` is the entry H[i, i+d] = H[i+d, i] for band distance
+    ``d >= 0``.  Every Hamiltonian the package propagates is one: the
+    rotating frame, the effective models and the collective tridiagonal.
     """
 
     size: int
     bands: Dict[int, np.ndarray]
-    freqs: Dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for d, entries in self.bands.items():
-            entries = np.asarray(entries)
+            if np.iscomplexobj(entries):
+                raise ValueError(f"band {d} must be real for a symmetric matrix")
+            entries = np.asarray(entries, dtype=float)
             if d < 0 or entries.shape != (self.size - d,):
                 raise ValueError(f"band {d} must have length size - d = {self.size - d}")
             self.bands[d] = entries
-        if 0 in self.bands and np.iscomplexobj(self.bands[0]):
-            if np.max(np.abs(self.bands[0].imag)) > 0:
-                raise ValueError("diagonal band must be real for Hermiticity")
-        for d, om in self.freqs.items():
-            om = np.asarray(om, dtype=float)
-            if d not in self.bands or om.shape != (self.size - d,):
-                raise ValueError(f"frequency band {d} must match stored band {d}")
-            self.freqs[d] = om
 
-    @property
-    def half_bandwidth(self) -> int:
-        return max(self.bands, default=0)
-
-    @property
-    def is_static(self) -> bool:
-        return all(np.all(om == 0) for om in self.freqs.values())
-
-    def dense(self, tau: float = 0.0) -> np.ndarray:
-        """Materialize the full Hermitian matrix at time tau."""
-        h = np.zeros((self.size, self.size), dtype=complex)
+    def dense(self) -> np.ndarray:
+        """Materialize the full real symmetric matrix."""
+        h = np.zeros((self.size, self.size))
         for d, entries in self.bands.items():
-            vals = np.asarray(entries, dtype=complex)
-            if d in self.freqs:
-                vals = vals * np.exp(1j * self.freqs[d] * tau)
             idx = np.arange(self.size - d)
-            h[idx, idx + d] += vals
+            h[idx, idx + d] += entries
             if d > 0:
-                h[idx + d, idx] += np.conj(vals)
+                h[idx + d, idx] += entries
         return h
 
 

@@ -4,9 +4,10 @@ The electron starts in the momentum eigenstate p = nu*q/2 and exchanges
 recoil quanta q with the field.  Three routes to the same physics live here
 and are tested against each other:
 
-* the full interaction-picture Hamiltonian — nearest-neighbour couplings of
-  equal magnitude ``alpha_n`` whose phases rotate at the detuning of each
-  transition (only the resonant pair is stationary);
+* the full interaction-picture Hamiltonian H(tau) — nearest-neighbour
+  couplings of equal magnitude ``alpha_n`` whose phases rotate at the
+  detuning of each transition (only the resonant pair is stationary) —
+  propagated through its static, real rotating frame;
 * static effective Hamiltonians per resonance — the resonant manifold plus
   the level shifts and higher-order couplings induced by the off-resonant
   ladder, tabulated to third order (first and third resonance) or fourth
@@ -86,21 +87,20 @@ class LowGainModel:
         return order
 
 
-def build_full_hamiltonian(params: FelParams) -> BandedHermitianOperator:
-    """Interaction-picture ladder Hamiltonian with oscillating couplings.
+def build_full_hamiltonian(params: FelParams, tau: float) -> np.ndarray:
+    """Interaction-picture ladder Hamiltonian H(tau) as a dense complex matrix.
 
-    Every nearest-neighbour entry (mu, mu+1) has magnitude ``alpha`` and
-    phase frequency ``nu - 2*mu - 1`` in tau: the transition from +nu*q/2 to
-    +nu*q/2 - q is detuned by that amount, and exactly the pair symmetric
-    about zero momentum is stationary.  A negative ``params.nu`` builds the
-    mirrored scenario (initial momentum reflected).
+    Every nearest-neighbour entry (mu, mu+1) is ``alpha * exp(1j * (nu - 2*mu
+    - 1) * tau)``: the transition from +nu*q/2 to +nu*q/2 - q is detuned by
+    that amount, and exactly the pair symmetric about zero momentum is
+    stationary.  A negative ``params.nu`` builds the mirrored scenario
+    (initial momentum reflected).  ``propagate`` never needs this matrix; it
+    uses the static ``rotating_frame_hamiltonian`` instead.
     """
     m = params.ladder_halfwidth
-    size = 2 * m + 1
     mus = np.arange(-m, m)  # row index of each (mu, mu+1) entry
-    band1 = np.full(size - 1, params.alpha, dtype=complex)
-    freq1 = (params.nu - 2 * mus - 1).astype(float)
-    return BandedHermitianOperator(size=size, bands={1: band1}, freqs={1: freq1})
+    coupling = params.alpha * np.exp(1j * (params.nu - 2 * mus - 1) * tau)
+    return np.diag(coupling, 1) + np.diag(coupling.conj(), -1)
 
 
 def rotating_frame_hamiltonian(params: FelParams) -> BandedHermitianOperator:
@@ -121,20 +121,26 @@ def rotating_frame_hamiltonian(params: FelParams) -> BandedHermitianOperator:
     return BandedHermitianOperator(size=size, bands={0: diag, 1: band1})
 
 
-def _effective_bands(nu: int, alpha: float, order: int, m: int) -> Dict[tuple[int, int], float]:
-    """Effective-model matrix elements as {(mu, mu') with mu' >= mu: value}.
+def build_effective_hamiltonian(params: FelParams) -> BandedHermitianOperator:
+    """Static effective Hamiltonian of the resonance and order in ``params``.
 
-    Level indices are ladder indices (level mu holds momentum nu*q/2 - mu*q).
-    The infinite level-shift sums are truncated at the ladder bounds; the
-    excluded tails only touch levels inside the reporting buffer.
+    Supported expansion orders are 1-3 for nu = 1 and 3, and 2 or 4 for
+    nu = 2 (whose expansion has no odd terms); anything else is rejected
+    outright rather than silently truncated.  Level indices are ladder
+    indices (level mu holds momentum nu*q/2 - mu*q).  The infinite
+    level-shift sums are truncated at the ladder bounds; the excluded tails
+    only touch levels inside the reporting buffer.
     """
-    h: Dict[tuple[int, int], float] = {}
+    order = LowGainModel(params=params, variant="effective").resolve_order()
+    nu, alpha, m = params.nu, params.alpha, params.ladder_halfwidth
+    size = 2 * m + 1
+    bands = {0: np.zeros(size)}
 
     def add(i: int, j: int, val: float) -> None:
         if abs(i) > m or abs(j) > m:
             return
-        key = (i, j) if i <= j else (j, i)
-        h[key] = h.get(key, 0.0) + val
+        d, lo = abs(j - i), min(i, j)
+        bands.setdefault(d, np.zeros(size - d))[lo + m] += val
 
     mus = range(-m, m + 1)
     if nu == 1:
@@ -176,25 +182,6 @@ def _effective_bands(nu: int, alpha: float, order: int, m: int) -> Dict[tuple[in
         if order >= 3:
             add(1, 2, -0.25 * alpha**3)
             add(0, 3, 0.25 * alpha**3)
-    return h
-
-
-def build_effective_hamiltonian(params: FelParams) -> BandedHermitianOperator:
-    """Static effective Hamiltonian of the resonance and order in ``params``.
-
-    Supported expansion orders are 1-3 for nu = 1 and 3, and 2 or 4 for
-    nu = 2 (whose expansion has no odd terms); anything else is rejected
-    outright rather than silently truncated.
-    """
-    order = LowGainModel(params=params, variant="effective").resolve_order()
-    nu, alpha, m = params.nu, params.alpha, params.ladder_halfwidth
-    elements = _effective_bands(nu, alpha, order, m)
-    size = 2 * m + 1
-    max_d = max((j - i for (i, j) in elements), default=0)
-    bands = {d: np.zeros(size - d) for d in range(max_d + 1)}
-    for (i, j), val in elements.items():
-        bands[j - i][i + m] = val
-    bands = {d: arr for d, arr in bands.items() if np.any(arr != 0) or d == 0}
     return BandedHermitianOperator(size=size, bands=bands)
 
 
@@ -221,7 +208,7 @@ def propagate(
         op = rotating_frame_hamiltonian(params)
     else:
         op = build_effective_hamiltonian(params)
-    h = op.dense().real
+    h = op.dense()
     if state.amplitudes.size != op.size:
         raise ValueError("state size does not match the model's ladder")
     taus = sample_axis(tau_end, sample_count)

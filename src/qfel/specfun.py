@@ -45,8 +45,8 @@ def elliptic_K(k: float) -> float:
     return float(np.pi / (2.0 * a))
 
 
-def _cn_sn(u: np.ndarray | float, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """cn(u, k) and sn(u, k) via descending Landen transformation.
+def _cn(u: np.ndarray | float, k: float) -> np.ndarray:
+    """cn(u, k) via descending Landen transformation.
 
     The AGM scales c_n = a_{n-1} - a_n to zero; the amplitude phi is unwound
     from phi_N = 2^N a_N u back to phi_0 through
@@ -56,8 +56,8 @@ def _cn_sn(u: np.ndarray | float, k: float) -> tuple[np.ndarray, np.ndarray]:
     """
     u = np.asarray(u, dtype=float)
     if k < 1e-12:
-        # Circular limit: cn -> cos, sn -> sin.
-        return np.cos(u), np.sin(u)
+        # Circular limit: cn -> cos.
+        return np.cos(u)
     bigk = elliptic_K(k)
     u = u - 4.0 * bigk * np.round(u / (4.0 * bigk))
 
@@ -74,9 +74,7 @@ def _cn_sn(u: np.ndarray | float, k: float) -> tuple[np.ndarray, np.ndarray]:
     for i in range(n, 0, -1):
         ratio = np.clip(c_seq[i] / a_seq[i] * np.sin(phi), -1.0, 1.0)
         phi = 0.5 * (phi + np.arcsin(ratio))
-    sn = np.sin(phi)
-    cn = np.cos(phi)
-    return cn, sn
+    return np.cos(phi)
 
 
 def jacobi_cn(u: np.ndarray | float, k: float) -> np.ndarray | float:
@@ -87,7 +85,7 @@ def jacobi_cn(u: np.ndarray | float, k: float) -> np.ndarray | float:
     """
     k = EllipticModulus(k)
     scalar = np.isscalar(u) or np.ndim(u) == 0
-    cn, _ = _cn_sn(u, k)
+    cn = _cn(u, k)
     return float(cn) if scalar else cn
 
 

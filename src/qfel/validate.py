@@ -316,7 +316,7 @@ def check_dense_oracle_equivalence(ctx: ValidationContext) -> CheckResult:
             ("effective", build_effective_hamiltonian(params), (3.0, 8.0)),
         )
         for variant, op, times in routes:
-            oracle = _expm_populations(op.dense().real, 10, times)
+            oracle = _expm_populations(op.dense(), 10, times)
             model = LowGainModel(params=params, variant=variant)
             for ref, tau in zip(oracle, times):
                 trace = propagate(model, LadderState.initial(params), tau, 3)
@@ -327,7 +327,7 @@ def check_dense_oracle_equivalence(ctx: ValidationContext) -> CheckResult:
     for nu, variant in ((1, "third_order"), (1, "first_order"), (2, "dicke_only"), (2, "full_second_order")):
         params = FelParams(alpha=0.4, nu=nu, n0=3, N=16, context="high")
         model = HighGainModel(params=params, variant=variant)
-        h = build_dicke_tridiagonal(model).dense().real
+        h = build_dicke_tridiagonal(model).dense()
         for method in ("eigh", "chebyshev"):
             trace = propagate_dicke(model, 12.0, 7, method=method, keep_probabilities=True)
             probs = np.array([trace.column(f"P[{mu}]") for mu in range(17)]).T

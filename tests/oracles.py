@@ -2,11 +2,14 @@
 
 Everything here deliberately avoids the package's own solution paths:
 dense matrix exponentials instead of banded eigendecompositions, generic
-ODE integration instead of the static-frame equivalence, and scipy's
-special functions instead of the package's AGM/Landen routines.
+ODE integration of the interaction-picture H(tau) instead of the
+static-frame equivalence, and scipy's special functions instead of the
+package's AGM/Landen routines.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -18,8 +21,6 @@ from qfel.core import BandedHermitianOperator
 def expm_populations(op: BandedHermitianOperator, psi0: np.ndarray, taus) -> np.ndarray:
     """|psi(tau)|^2 for a static operator via scipy's dense expm, per tau."""
     h = op.dense()
-    if not op.is_static:
-        raise ValueError("static oracle got a time-dependent operator")
     out = np.empty((len(taus), op.size))
     for i, tau in enumerate(taus):
         out[i] = np.abs(expm(-1j * h * float(tau)) @ psi0) ** 2
@@ -27,18 +28,20 @@ def expm_populations(op: BandedHermitianOperator, psi0: np.ndarray, taus) -> np.
 
 
 def ode_populations(
-    op: BandedHermitianOperator, psi0: np.ndarray, taus, rtol: float = 1e-12
+    hamiltonian: Callable[[float], np.ndarray], psi0: np.ndarray, taus, rtol: float = 1e-12
 ) -> np.ndarray:
     """|psi(tau)|^2 by direct integration of i dpsi/dtau = H(tau) psi.
 
-    Works for oscillating-coupling operators; this is the only route here
-    that never materializes a propagator, so it is independent of both the
-    package's static-frame trick and the expm oracle.
+    ``hamiltonian`` maps tau to the dense matrix H(tau), so oscillating
+    couplings work; this is the only route here that never materializes a
+    propagator, so it is independent of both the package's static-frame trick
+    and the expm oracle.
     """
+    size = psi0.size
 
     def rhs(tau: float, y: np.ndarray) -> np.ndarray:
-        psi = y[: op.size] + 1j * y[op.size :]
-        dpsi = -1j * (op.dense(tau) @ psi)
+        psi = y[:size] + 1j * y[size:]
+        dpsi = -1j * (hamiltonian(tau) @ psi)
         return np.concatenate([dpsi.real, dpsi.imag])
 
     y0 = np.concatenate([psi0.real.astype(float), psi0.imag.astype(float)])
@@ -53,5 +56,5 @@ def ode_populations(
     )
     if not sol.success:
         raise RuntimeError(sol.message)
-    psi = sol.y[: op.size] + 1j * sol.y[op.size :]
+    psi = sol.y[:size] + 1j * sol.y[size:]
     return (np.abs(psi) ** 2).T

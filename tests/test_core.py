@@ -39,6 +39,10 @@ class TestFelParams:
             {"alpha": 0.25, "n0": np.inf},
             {"alpha": 0.25, "nu": 2.0},  # integral value, but not an integer
             {"alpha": 0.25, "N": 10.5},
+            {"alpha": 0.25, "M": 10.5},
+            {"alpha": 0.25, "M": 12.0},  # integral value, but not an integer
+            {"alpha": 0.25, "M": np.inf},
+            {"alpha": 0.25, "M": np.nan},
         ],
     )
     def test_rejections(self, kwargs):
@@ -68,32 +72,33 @@ class TestStates:
 
 
 class TestBandedOperator:
-    def test_dense_is_hermitian_with_phases(self):
+    def test_dense_is_a_symmetric_float_matrix(self):
         rng = np.random.default_rng(7)
         size = 6
         op = BandedHermitianOperator(
             size=size,
-            bands={0: rng.normal(size=size), 1: rng.normal(size=size - 1) + 0j},
-            freqs={1: rng.normal(size=size - 1)},
+            bands={0: rng.normal(size=size), 1: rng.normal(size=size - 1), 3: rng.normal(size=size - 3)},
         )
-        for tau in (0.0, 0.7, 2.31):
-            h = op.dense(tau)
-            assert np.allclose(h, h.conj().T, atol=1e-15)
+        h = op.dense()
+        assert h.dtype == np.float64
+        assert np.array_equal(h, h.T)
+        assert np.array_equal(np.diag(h, 3), op.bands[3])
 
     def test_band_shape_validation(self):
         with pytest.raises(ValueError):
             BandedHermitianOperator(size=4, bands={1: np.ones(2)})
 
-    def test_diagonal_must_be_real(self):
-        with pytest.raises(ValueError):
-            BandedHermitianOperator(size=3, bands={0: np.array([1.0, 2.0, 1j])})
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_bands_must_be_real(self, d):
+        entries = np.ones(3 - d, dtype=complex)
+        entries[-1] = 1j
+        with pytest.raises(ValueError, match="real"):
+            BandedHermitianOperator(size=3, bands={d: entries})
 
-    def test_static_property_and_tridiagonal_parts(self):
+    def test_tridiagonal_parts(self):
         op = BandedHermitianOperator(size=3, bands={0: np.arange(3.0), 1: np.ones(2)})
-        assert op.is_static
         assert np.array_equal(op.bands[0], np.arange(3.0))
         assert np.array_equal(op.bands[1], np.ones(2))
-        assert op.half_bandwidth == 1
 
 
 class TestTrace:

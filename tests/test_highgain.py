@@ -124,7 +124,6 @@ class TestCoefficients:
         model = HighGainModel(params=_params(2, N=8), variant="full_second_order")
         op = build_dicke_tridiagonal(model)
         assert sorted(op.bands) == [0, 1]
-        assert op.is_static
         off, diag = self._bands(model)
         expected = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert np.array_equal(op.dense(), expected)

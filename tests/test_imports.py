@@ -138,3 +138,33 @@ def test_benchmark_tracer_argument_hooks_bind():
     tracing._ladder_levels(tracer, call, None)
     assert tracer.counts["highgain.level_samples"] == 51 * 5
     assert tracer.counts["lowgain.level_samples"] == state.amplitudes.size * 5
+
+
+def test_traced_run_counts_each_layer_and_restores_every_name():
+    # A traced benchmark run rebinds every ``tracing.TARGETS`` name and
+    # ``BandedHermitianOperator.dense``; each counter must see its call once,
+    # and ``uninstall`` must put every original back.
+    import qfel.cli
+    import qfel.validate
+    from qfel import FelParams, HighGainModel, LadderState, LowGainModel
+
+    tracing = _bench_module("tracing")
+    originals = {name: getattr(getattr(qfel, module), attr) for name, (module, attr) in tracing.TARGETS.items()}
+    dense = qfel.core.BandedHermitianOperator.dense
+    low = FelParams(alpha=0.25, nu=2, context="low")
+    high = FelParams(alpha=0.25, nu=1, n0=10.0, N=50, context="high")
+    tracer = tracing.Tracer("tier1")
+    tracer.install(qfel)
+    try:
+        qfel.lowgain.propagate(LowGainModel(params=low, variant="effective"), LadderState.initial(low), 5.0, 11)
+        qfel.highgain.propagate_dicke(HighGainModel(params=high, variant="third_order"), 1.0, 5)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["core.dense_calls"] == (1, "count")
+    assert metrics["lowgain.propagate_calls"] == (1, "count")
+    assert metrics["highgain.eigh_tridiagonal_calls"] == (1, "count")
+    assert metrics["highgain.eigvec_bytes"] == (51**2 * 8, "bytes")
+    for name, (module, attr) in tracing.TARGETS.items():
+        assert getattr(getattr(qfel, module), attr) is originals[name], name
+    assert qfel.core.BandedHermitianOperator.dense is dense

@@ -31,20 +31,24 @@ def _params(nu, alpha=0.25, **kw):
 class TestFullHamiltonian:
     def test_structure_and_resonant_pair(self):
         p = _params(1, M=5)
-        op = build_full_hamiltonian(p)
-        assert op.size == 11
-        assert np.allclose(np.abs(op.bands[1]), 0.25)
+        tau = 0.1
+        h = build_full_hamiltonian(p, tau)
+        assert h.shape == (11, 11)
+        coupling = np.diag(h, 1)
+        assert np.allclose(np.abs(coupling), 0.25)
         mus = np.arange(-5, 5)
-        assert np.array_equal(op.freqs[1], -2.0 * mus)  # nu - 2mu - 1 at nu = 1
+        # Phase frequencies nu - 2mu - 1 at nu = 1; |2mu| * tau stays below pi.
+        assert np.allclose(np.angle(coupling) / tau, -2.0 * mus)
         # Exactly the (0, 1) transition is stationary for nu = 1 ...
-        assert op.freqs[1][5] == 0.0
-        assert np.count_nonzero(op.freqs[1] == 0) == 1
+        stationary = coupling == np.diag(build_full_hamiltonian(p, 0.0), 1)
+        assert stationary[5]
+        assert np.count_nonzero(stationary) == 1
         # ... and no single-step transition is stationary for nu = 2.
-        assert np.all(build_full_hamiltonian(_params(2, M=5)).freqs[1] != 0)
+        p2 = _params(2, M=5)
+        assert np.all(np.diag(build_full_hamiltonian(p2, tau), 1) != np.diag(build_full_hamiltonian(p2, 0.0), 1))
 
     def test_dense_matches_explicit_matrix(self):
         p = _params(2, M=5)
-        op = build_full_hamiltonian(p)
         tau = 0.83
         m = 5
         expected = np.zeros((11, 11), dtype=complex)
@@ -52,7 +56,12 @@ class TestFullHamiltonian:
             entry = p.alpha * np.exp(1j * (p.nu - 2 * mu - 1) * tau)
             expected[row, row + 1] = entry
             expected[row + 1, row] = np.conj(entry)
-        assert np.allclose(op.dense(tau), expected, atol=1e-15)
+        assert np.allclose(build_full_hamiltonian(p, tau), expected, atol=1e-15)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.7, 2.31])
+    def test_full_hamiltonian_is_hermitian(self, tau):
+        h = build_full_hamiltonian(_params(3, M=7), tau)
+        assert np.array_equal(h, h.conj().T)
 
     def test_rotating_frame_has_kinetic_diagonal(self):
         p = _params(3, M=6)
@@ -60,7 +69,7 @@ class TestFullHamiltonian:
         mus = np.arange(-6, 7)
         assert np.allclose(op.bands[0], (1.5 - mus) ** 2)
         assert np.allclose(op.bands[1], p.alpha)
-        assert op.is_static
+        assert op.dense().dtype == np.float64
 
 
 class TestRouteAgreement:
@@ -68,11 +77,10 @@ class TestRouteAgreement:
         # The static-frame shortcut must reproduce brute-force integration
         # of the oscillating-coupling Hamiltonian, population by population.
         p = _params(1, alpha=0.3, M=6)
-        op = build_full_hamiltonian(p)
         psi0 = np.zeros(13, dtype=complex)
         psi0[6] = 1.0
         taus = np.linspace(0.0, 6.0, 7)
-        reference = ode_populations(op, psi0, taus)
+        reference = ode_populations(lambda tau: build_full_hamiltonian(p, tau), psi0, taus)
         model = LowGainModel(params=p, variant="full_hamiltonian")
         trace = propagate(model, LadderState.initial(p), 6.0, 7)
         for i in range(1, 7):
@@ -199,7 +207,7 @@ class TestPropagate:
         model = LowGainModel(params=p)
         with pytest.raises(ValueError):
             propagate(model, LadderState.initial(p), 0.0)
-        wrong = LadderState(nu=1, amplitudes=np.zeros(5, dtype=complex))
+        wrong = LadderState(amplitudes=np.zeros(5, dtype=complex))
         with pytest.raises(ValueError, match="size"):
             propagate(model, wrong, 1.0)
 
@@ -280,8 +288,9 @@ class TestEstimators:
         for nu in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
             for m in (None, abs(nu) + 3, 30):
                 p = _params(nu, M=m)
-                # Slowest nonzero coupling phase of the full Hamiltonian itself.
-                freqs = np.abs(build_full_hamiltonian(p).freqs[1])
+                # Slowest nonzero transition frequency |k_mu - k_(mu+1)| between
+                # neighbouring kinetic levels; these are exact integers.
+                freqs = np.abs(np.diff(rotating_frame_hamiltonian(p).bands[0]))
                 scanned = 2.0 * np.pi / freqs[freqs > 0].min()
                 assert ripple_period(p) == scanned, f"nu={nu} M={m}"
                 assert ripple_period(p) == (np.pi if nu % 2 else 2.0 * np.pi)
@@ -303,7 +312,7 @@ class TestEstimators:
         model = LowGainModel(params=p)
         trace = propagate(model, LadderState.initial(p), 4.0, 5)
         op = rotating_frame_hamiltonian(p)
-        w, v = np.linalg.eigh(op.dense().real)
+        w, v = np.linalg.eigh(op.dense())
         psi0 = np.zeros(13, dtype=complex)
         psi0[6] = 1.0
         psi = v @ (np.exp(-1j * w * 4.0) * (v.T @ psi0))
