@@ -237,12 +237,18 @@ def gain_frequency(nu: int, alpha: float) -> float:
 
     The first maximum of the gain sits at tau = pi / (2 * gain_frequency);
     scaling with resonance order follows alpha**nu up to the bracketed
-    corrections of ``analytic_dn``.
+    corrections of ``analytic_dn``.  The second-resonance bracket is
+    perturbative in alpha; once 16 alpha^2 / 9 >= 1 it stops being positive
+    and the expansion has left its domain of validity, which is rejected
+    rather than returned as a zero or negative frequency.
     """
     if nu == 1:
         return alpha * (1.0 - alpha**2 / 4.0)
     if nu == 2:
-        return alpha**2 * (1.0 - 16.0 * alpha**2 / 9.0)
+        corr = 1.0 - 16.0 * alpha**2 / 9.0
+        if corr <= 0.0:
+            raise ValueError("second-resonance frequency breaks down: 16 alpha^2 / 9 >= 1")
+        return alpha**2 * corr
     if nu == 3:
         return alpha**3 / 4.0
     raise ValueError(f"closed forms cover nu in {{1, 2, 3}}, got {nu}")
@@ -277,12 +283,13 @@ def analytic_populations_second(alpha: float, tau: np.ndarray | float) -> Dict[i
     alpha**4 (~0.0034 at alpha = 0.1, ~0.10 at alpha = 0.25): nu = 2 has no
     odd amplitude terms, so the first dropped amplitude term is O(alpha**4),
     and the first dropped frequency term, O(alpha**6), builds an O(alpha**4)
-    phase error over tau ~ pi/alpha**2.  See ``momentum_label_to_level`` for
-    the ladder-index correspondence.
+    phase error over tau ~ pi/alpha**2.  The envelope frequency xi1 is
+    ``gain_frequency(2, alpha)``, so alpha >= 0.75 is rejected there.  See
+    ``momentum_label_to_level`` for the ladder-index correspondence.
     """
     tau = np.asarray(tau, dtype=float)
     a2 = alpha * alpha
-    xi1 = a2 * (1.0 - 16.0 * a2 / 9.0)
+    xi1 = gain_frequency(2, alpha)
     xi2 = (a2 * a2 / 36.0) * np.sqrt(1.0 + (124.0 / 125.0) ** 2)
     xi3 = 3.0 - (8.0 * a2 / 15.0) * (1.0 - 16.0 * a2 / 5.0)
     xi4 = 1.0 + (8.0 * a2 / 3.0) * (1.0 - 7.0 * (8.0 * alpha / 15.0) ** 2)
@@ -307,7 +314,7 @@ def analytic_populations_third(alpha: float, tau: np.ndarray | float) -> tuple[n
     to exactly 1 and the transfer is a pure Rabi cycle at alpha**3/4.
     """
     tau = np.asarray(tau, dtype=float)
-    phase = (alpha**3 / 4.0) * tau
+    phase = gain_frequency(3, alpha) * tau
     return np.cos(phase) ** 2, np.sin(phase) ** 2
 
 
@@ -336,7 +343,7 @@ def ripple_period(params: FelParams) -> float:
     return np.pi if params.nu % 2 else 2.0 * np.pi
 
 
-def fit_rabi_frequency(trace: Trace, column: str = "dn_per_N", smooth_window: float = 0.0) -> float:
+def fit_rabi_frequency(trace: Trace, smooth_window: float = 0.0) -> float:
     """Effective oscillation frequency from the first maximum of a gain trace.
 
     For a gain of the form sin^2(omega * x) the first maximum sits at
@@ -345,5 +352,5 @@ def fit_rabi_frequency(trace: Trace, column: str = "dn_per_N", smooth_window: fl
     ripple on top of the envelope.  Raises if the trace contains no interior
     maximum.
     """
-    ext = first_maximum(trace.x, np.asarray(trace.column(column), dtype=float), smooth_window)
+    ext = first_maximum(trace.x, np.asarray(trace.column("dn_per_N"), dtype=float), smooth_window)
     return float(np.pi / (2.0 * ext.position))

@@ -15,8 +15,6 @@ makes that sub-gate a truncation floor rather than a bug:
   logarithm of K(k) drops.
 """
 
-import re
-
 import numpy as np
 import pytest
 
@@ -44,11 +42,11 @@ def _gate(verdicts, name):
 
 
 def _designed_failure(verdicts, name):
-    """Print the report line of a check that must FAIL and return its detail."""
+    """Print the report line of a check that must FAIL and return its gates by label."""
     result = verdicts[name]
     print(result.line())
     assert not result.passed, result.detail
-    return result.detail
+    return {gate.label: gate for gate in result.gates}
 
 
 def _implied_log(alpha, r, ratio):
@@ -66,16 +64,17 @@ def test_low_gain_peak_gains(verdicts):
 
 
 def test_second_resonance_closed_form_populations(verdicts):
-    detail = _designed_failure(verdicts, "second-resonance closed-form populations")
+    gates = _designed_failure(verdicts, "second-resonance closed-form populations")
 
     # The sum rule holds at both couplings; the pointwise gate is what fails.
-    sums = re.findall(r"alpha=([\d.]+) \|sum-1\| (\S+) \(bound (\S+)\)", detail)
-    assert [float(a) for a, _, _ in sums] == [0.1, 0.25]
-    for alpha, dev, bound in sums:
-        assert float(bound) == pytest.approx(5.0 * float(alpha) ** 4, rel=1e-2)
-        assert float(dev) <= float(bound)
-    pointwise = re.search(r"alpha=0.25 pointwise vs propagation (\S+) \(tol 0.02\)", detail)
-    assert float(pointwise.group(1)) > 0.02
+    sums = [gates[f"alpha={alpha} |sum-1|"] for alpha in (0.1, 0.25)]
+    for alpha, gate in zip((0.1, 0.25), sums):
+        assert gate.limit == 5.0 * alpha**4
+        assert gate.passed, gate
+    pointwise = gates["alpha=0.25 pointwise vs propagation"]
+    assert pointwise.limit == 0.02
+    assert pointwise.value > 0.02
+    assert len(gates) == 3
 
     # A floor, not a bug: amplitudes are kept to alpha**2 (nu = 2 has no odd
     # terms) and frequencies to alpha**4 over tau ~ pi/alpha**2, so the
@@ -102,13 +101,16 @@ def test_mean_field_integration_oracle(verdicts):
 
 
 def test_maximum_length_shorthand_accuracy(verdicts):
-    detail = _designed_failure(verdicts, "maximum-length shorthand accuracy")
+    gates = _designed_failure(verdicts, "maximum-length shorthand accuracy")
 
     # The crossover passes; the accuracy band is what fails.
-    band = re.search(r"worst factor (\S+) at .* \(tol 2.5\)", detail)
-    assert float(band.group(1)) > 2.5
-    crossover = re.search(r"crossover alpha \S+ vs 3 \(([+-][\d.]+)%, tol 10%\)", detail)
-    assert abs(float(crossover.group(1))) <= 10.0
+    (band,) = [g for label, g in gates.items() if label.startswith("worst factor")]
+    assert band.limit == 2.5
+    assert band.value > 2.5
+    (crossover,) = [g for label, g in gates.items() if label.startswith("unit-ratio crossover")]
+    assert crossover.limit == 0.10
+    assert crossover.passed, crossover
+    assert len(gates) == 2
 
     # The miss is the order-one term the shorthand drops.  Its logarithm is
     # ln sqrt(N/n0) exactly; the exact ratio's is K(k) / (sqrt(1 + n0/N) x

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfel import cli
+from qfel import validate as validation
 from qfel.core import FelParams, first_maximum
 from qfel.highgain import lmax_exact, lmax_ratio
 from qfel.lowgain import gain_frequency
@@ -184,6 +185,20 @@ class TestSweepLow:
         _, _, cols = _read_csv(out)
         assert cols["fitted_frequency"][0] == pytest.approx(gain_frequency(1, 0.25), rel=0.02)
         assert cols["error"][0] == ""
+
+    @pytest.mark.parametrize("variant", ["full_hamiltonian", "effective"])
+    def test_second_resonance_breakdown_is_named(self, tmp_path, variant):
+        # The auto span is pi / gain_frequency(2, alpha), whose bracket
+        # 1 - 16 alpha^2 / 9 is 0 at alpha = 0.75 and negative above it.
+        out = tmp_path / "breakdown.csv"
+        argv = ["sweep", "--variant", variant, "--alpha", "0.7,0.75,0.8", "--resonance", "2"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        _, _, cols = _read_csv(out)
+        assert cols["error"][0] == ""
+        assert math.isfinite(cols["fitted_frequency"][0])
+        for i in (1, 2):
+            assert cols["error"][i] == "second-resonance frequency breaks down: 16 alpha^2 / 9 >= 1"
+            assert math.isnan(cols["fitted_frequency"][i])
 
     def test_parallel_equals_serial_byte_for_byte(self, tmp_path):
         base = ["sweep", "--alpha", "0.1,0.2", "--resonance", "1,2", "--samples", "801"]
@@ -410,6 +425,10 @@ class TestValidateCommand:
         output = capsys.readouterr().out.splitlines()
         check_lines = [line for line in output if re.match(r"^\[(PASS|FAIL)\]", line)]
         assert len(check_lines) == 9
+        for line, result in zip(check_lines, validation.run_all()):
+            # Every gate prints as "label value (tol limit)".
+            assert line.count("(tol ") == len(result.gates), line
+            assert line == result.line()
         failures = [line for line in check_lines if line.startswith("[FAIL]")]
         assert output[-1].endswith(f"{9 - len(failures)}/9 checks passed")
         assert code == (0 if not failures else 1)

@@ -245,6 +245,9 @@ class TestClosedForms:
             analytic_dn(4, 0.25, 1.0)
         with pytest.raises(ValueError):
             gain_frequency(4, 0.25)
+        # The second-resonance bracket 1 - 16 alpha^2 / 9 vanishes at 0.75.
+        with pytest.raises(ValueError, match="16 alpha\\^2 / 9 >= 1"):
+            gain_frequency(2, 0.75)
 
     def test_scalar_phase_gives_scalar_gain(self):
         out = analytic_dn(1, 0.25, 0.0)
