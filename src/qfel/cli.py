@@ -69,15 +69,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out: Path, meta: dict, header: Sequence[str], rows: Iterable[Sequence]) -> int:
-    lines = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in meta.items())]
-    lines.append(",".join(header))
-    count = 0
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-        count += 1
+def _write_csv(out: Path | str, meta: dict, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    lines = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in meta.items()), ",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    out = Path(out)
     out.write_text("\n".join(lines) + "\n", encoding="ascii")
-    return count
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +84,7 @@ def _write_csv(out: Path, meta: dict, header: Sequence[str], rows: Iterable[Sequ
 def run_fig2(
     alpha: float = 0.25,
     end: float | None = None,
-    samples: int | None = None,
+    samples: int = 4001,
     out: Path | str = "fig2.csv",
 ) -> Path:
     """Gain of the first three resonances vs Rabi phase, closed form and numeric.
@@ -97,9 +94,7 @@ def run_fig2(
     full envelope period of the slowest (third) resonance.
     """
     all_params = [FelParams(alpha=alpha, nu=nu, context="low") for nu in (1, 2, 3)]
-    # Default span: one full envelope period of the slowest (third) resonance.
     end = 1.05 * np.pi * alpha / gain_frequency(3, alpha) if end is None else end
-    samples = 4001 if samples is None else samples
     omega_t = sample_axis(end, samples)
     tau_end = end / alpha
 
@@ -115,9 +110,7 @@ def run_fig2(
         columns.append(trace.column("dn_per_N"))
         header.append(f"dn_numeric_nu{nu}")
         meta[f"levels_nu{nu}"] = params.ladder_halfwidth
-    out = Path(out)
-    _write_csv(out, meta, header, zip(*columns))
-    return out
+    return _write_csv(out, meta, header, zip(*columns))
 
 
 _FIG3_DEFAULTS = {
@@ -127,10 +120,10 @@ _FIG3_DEFAULTS = {
 
 
 def run_fig3(
-    panel: str,
+    panel: str | None = None,
     alpha: float | None = None,
-    n0: float | None = None,
-    electrons: int | None = None,
+    n0: float = 1000.0,
+    electrons: int = 10_000,
     end: float | None = None,
     samples: int | None = None,
     out: Path | str | None = None,
@@ -141,15 +134,15 @@ def run_fig3(
     numeric model.  ``bottom``: second resonance — the mean-field closed form
     next to the pair-coupling-only and full numeric models.
     """
+    if panel is None:
+        raise ScenarioError("fig3 needs --panel top or --panel bottom")
     if panel not in _FIG3_DEFAULTS:
         raise ScenarioError(f"panel must be 'top' or 'bottom', got {panel!r}")
     d = _FIG3_DEFAULTS[panel]
     alpha = d["alpha"] if alpha is None else alpha
-    n0 = 1000.0 if n0 is None else n0
-    electrons = 10_000 if electrons is None else electrons
     end = d["end"] if end is None else end
     samples = d["samples"] if samples is None else samples
-    out = Path(d["out"] if out is None else out)
+    out = d["out"] if out is None else out
     params = FelParams(alpha=alpha, nu=d["resonance"], n0=n0, N=electrons, context="high")
     ell = sample_axis(end, samples)
     meta = {
@@ -173,16 +166,15 @@ def run_fig3(
     for variant in variants:
         model = HighGainModel(params=params, variant=variant)
         columns.append(propagate_dicke(model, end, samples).column("n"))
-    _write_csv(out, meta, header, zip(*columns))
-    return out
+    return _write_csv(out, meta, header, zip(*columns))
 
 
 def run_fig4(
     alpha: float = 0.25,
     n0: float | None = None,
-    electrons: int | None = None,
+    electrons: int = 10_000,
     end: float | None = None,
-    samples: int | None = None,
+    samples: int = 1201,
     out: Path | str = "fig4.csv",
 ) -> Path:
     """Closed-form photon growth of both resonances on one axis.
@@ -191,9 +183,7 @@ def run_fig4(
     photons per electron above the seed but needs a much longer interaction
     length.  The default span covers both first maxima.
     """
-    electrons = 10_000 if electrons is None else electrons
     n0 = 0.1 * electrons if n0 is None else n0
-    samples = 1201 if samples is None else samples
     p1 = FelParams(alpha=alpha, nu=1, n0=n0, N=electrons, context="high")
     p2 = FelParams(alpha=alpha, nu=2, n0=n0, N=electrons, context="high")
     if end is None:
@@ -209,23 +199,20 @@ def run_fig4(
     }
     header = ["L_over_Lg", "n_first_resonance", "n_second_resonance"]
     columns = [ell, analytic_n_first(ell, p1, order=3), analytic_n_second(ell, p2)]
-    out = Path(out)
-    _write_csv(out, meta, header, zip(*columns))
-    return out
+    return _write_csv(out, meta, header, zip(*columns))
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def run_validate(stream=None) -> int:
+def run_validate() -> int:
     """Print one pass/fail line per check with measured values; 0 iff all pass."""
-    stream = stream or sys.stdout
     results = validation.run_all()
     for result in results:
-        print(result.line(), file=stream)
+        print(result.line())
     passed = sum(r.passed for r in results)
-    print(f"{passed}/{len(results)} checks passed", file=stream)
+    print(f"{passed}/{len(results)} checks passed")
     return 0 if passed == len(results) else 1
 
 
@@ -295,9 +282,9 @@ def _sanitize(err: Exception) -> str:
 
 def run_sweep(
     regime: str = "low",
-    alphas: Sequence[float] = (0.1, 0.2, 0.3),
-    n0s: Sequence[float] | None = None,
-    resonances: Sequence[int] | None = None,
+    alpha: Sequence[float] = (0.1, 0.2, 0.3),
+    n0: Sequence[float] | None = None,
+    resonance: Sequence[int] | None = None,
     electrons: int | None = None,
     variant: str | None = None,
     end: float | None = None,
@@ -317,10 +304,10 @@ def run_sweep(
     if regime not in ("low", "high"):
         raise ScenarioError(f"regime must be 'low' or 'high', got {regime!r}")
     if regime == "low":
-        if n0s is not None or electrons is not None:
+        if n0 is not None or electrons is not None:
             raise ScenarioError("the low-gain sweep follows one unseeded electron; --n0/--electrons do not apply")
-        n0s, electrons = (0.0,), 1
-        resonances = (1, 2, 3) if resonances is None else resonances
+        n0, electrons = (0.0,), 1
+        resonance = (1, 2, 3) if resonance is None else resonance
         variant = "full_hamiltonian" if variant is None else variant
         if variant not in ("full_hamiltonian", "effective"):
             raise ScenarioError(
@@ -328,23 +315,22 @@ def run_sweep(
             )
         samples = 2001 if samples is None else samples
     else:
-        n0s = (1000.0,) if n0s is None else n0s
-        resonances = (1, 2) if resonances is None else resonances
+        n0 = (1000.0,) if n0 is None else n0
+        resonance = (1, 2) if resonance is None else resonance
         electrons = 10_000 if electrons is None else electrons
         if variant is not None:
             raise ScenarioError("the high-gain sweep is closed-form only; --variant does not apply")
         if end is not None or samples is not None:
             raise ScenarioError("the high-gain sweep is closed-form only; --end/--samples do not apply")
 
-    grid = [(a, n0, nu) for a in alphas for n0 in n0s for nu in resonances]
+    grid = [(a, seed, nu) for a in alpha for seed in n0 for nu in resonance]
 
     def point(args: tuple[float, float, int]) -> list:
-        a, n0, nu = args
-        # As for the figures in ``main``, set per point: threads do not inherit it.
+        # Set again per point, beyond the one in ``main``: threads do not inherit it.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if regime == "low":
-                return _sweep_point_low(a, n0, nu, electrons, variant, end, samples)
-            return _sweep_point_high(a, n0, nu, electrons)
+                return _sweep_point_low(*args, electrons, variant, end, samples)
+            return _sweep_point_high(*args, electrons)
 
     if jobs > 1 and grid:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -355,18 +341,16 @@ def run_sweep(
     meta = {
         "subcommand": "sweep",
         "regime": regime,
-        "alpha": ",".join(_fmt(a) for a in alphas),
-        "n0": ",".join(_fmt(v) for v in n0s),
-        "resonance": ",".join(str(r) for r in resonances),
+        "alpha": ",".join(_fmt(a) for a in alpha),
+        "n0": ",".join(_fmt(v) for v in n0),
+        "resonance": ",".join(str(r) for r in resonance),
         "electrons": electrons,
     }
     if regime == "low":
         meta["variant"] = variant
         meta["end"] = "auto" if end is None else end
         meta["samples"] = samples
-    out = Path(out)
-    _write_csv(out, meta, _SWEEP_HEADER, rows)
-    return out
+    return _write_csv(out, meta, _SWEEP_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +371,8 @@ def _parse_int(text: str) -> int:
         raise ScenarioError(f"expected an integer, got {text!r}") from err
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(_parse_float(part) for part in text.split(",") if part != "")
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(_parse_int(part) for part in text.split(",") if part != "")
+def _parse_list(convert: Callable[[str], object]) -> Callable[[str], tuple]:
+    return lambda text: tuple(convert(part) for part in text.split(",") if part != "")
 
 
 def _parse_choice(*choices: str) -> Callable[[str], str]:
@@ -404,43 +384,40 @@ def _parse_choice(*choices: str) -> Callable[[str], str]:
     return convert
 
 
-_OPTION_KINDS: dict[str, dict[str, Callable[[str], object]]] = {
-    "fig2": {
-        "alpha": _parse_float,
-        "end": _parse_float,
-        "samples": _parse_int,
-        "out": str,
-    },
-    "fig3": {
-        "panel": _parse_choice("top", "bottom"),
-        "alpha": _parse_float,
-        "n0": _parse_float,
-        "electrons": _parse_int,
-        "end": _parse_float,
-        "samples": _parse_int,
-        "out": str,
-    },
-    "fig4": {
-        "alpha": _parse_float,
-        "n0": _parse_float,
-        "electrons": _parse_int,
-        "end": _parse_float,
-        "samples": _parse_int,
-        "out": str,
-    },
-    "sweep": {
-        "regime": _parse_choice("low", "high"),
-        "alpha": _parse_float_list,
-        "n0": _parse_float_list,
-        "resonance": _parse_int_list,
-        "electrons": _parse_int,
-        "variant": str,
-        "end": _parse_float,
-        "samples": _parse_int,
-        "jobs": _parse_int,
-        "out": str,
-    },
-    "validate": {},
+#: Every flag's converter and help text; ``sweep`` reads ``alpha`` and ``n0`` as comma lists.
+_FLAGS: dict[str, tuple[Callable[[str], object], str]] = {
+    "alpha": (_parse_float, "quantum parameter (comma list for sweep)"),
+    "n0": (_parse_float, "seed photon number (comma list for sweep)"),
+    "electrons": (_parse_int, "number of electrons N"),
+    "resonance": (_parse_list(_parse_int), "comma list of resonance orders"),
+    "variant": (str, "model variant where a module offers several"),
+    "end": (_parse_float, "span of the x axis (Omega*t for fig2, tau for the low-gain sweep, L/L_g otherwise)"),
+    "samples": (_parse_int, "number of output samples"),
+    "out": (str, "output CSV path"),
+    "panel": (_parse_choice("top", "bottom"), "which figure panel: top or bottom"),
+    "regime": (_parse_choice("low", "high"), "low (ladder) or high (collective closed forms)"),
+    "jobs": (_parse_int, "concurrent grid points"),
+}
+
+#: Each subcommand's help text and flags, in help order; ``run_<name>`` runs it.
+_COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "fig2": (
+        "gain of the three lowest resonances vs Rabi phase (closed form + numeric)",
+        ("alpha", "end", "samples", "out"),
+    ),
+    "fig3": (
+        "collective photon growth vs closed forms, one resonance per panel",
+        ("panel", "alpha", "n0", "electrons", "end", "samples", "out"),
+    ),
+    "fig4": (
+        "closed-form photon growth of both resonances on one axis",
+        ("alpha", "n0", "electrons", "end", "samples", "out"),
+    ),
+    "validate": ("run all cross-route checks and report pass/fail per line", ()),
+    "sweep": (
+        "grid campaign over alpha, n0, resonance; one CSV row per point",
+        ("regime", "alpha", "n0", "resonance", "electrons", "variant", "end", "samples", "jobs", "out"),
+    ),
 }
 
 
@@ -463,7 +440,9 @@ def _read_scenario_file(path: str) -> dict[str, str]:
 
 def _resolve_options(args: argparse.Namespace) -> dict[str, object]:
     """Merge scenario-file values under flag values and convert both."""
-    kinds = _OPTION_KINDS[args.command]
+    kinds = {key: _FLAGS[key][0] for key in _COMMANDS[args.command][1]}
+    if args.command == "sweep":
+        kinds.update(alpha=_parse_list(_parse_float), n0=_parse_list(_parse_float))
     raw: dict[str, str] = {}
     if getattr(args, "config", None):
         for key, value in _read_scenario_file(args.config).items():
@@ -486,32 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum-regime free-electron-laser dynamics: figure data, validation, sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="scenario file of key=value lines; flags win")
-        for key in _OPTION_KINDS[name]:
-            flag_help = {
-                "alpha": "quantum parameter (comma list for sweep)",
-                "n0": "seed photon number (comma list for sweep)",
-                "electrons": "number of electrons N",
-                "resonance": "comma list of resonance orders",
-                "variant": "model variant where a module offers several",
-                "end": "span of the x axis (Omega*t for fig2, tau for the low-gain sweep, L/L_g otherwise)",
-                "samples": "number of output samples",
-                "out": "output CSV path",
-                "panel": "which figure panel: top or bottom",
-                "regime": "low (ladder) or high (collective closed forms)",
-                "jobs": "concurrent grid points",
-            }[key]
-            p.add_argument(f"--{key}", help=flag_help)
-        return p
-
-    add("fig2", "gain of the three lowest resonances vs Rabi phase (closed form + numeric)")
-    add("fig3", "collective photon growth vs closed forms, one resonance per panel")
-    add("fig4", "closed-form photon growth of both resonances on one axis")
-    add("validate", "run all cross-route checks and report pass/fail per line")
-    add("sweep", "grid campaign over alpha, n0, resonance; one CSV row per point")
+        for key in flags:
+            p.add_argument(f"--{key}", help=_FLAGS[key][1])
     return parser
 
 
@@ -529,15 +487,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(tokens)
     try:
         opts = _resolve_options(args)
-        if args.command == "fig3" and "panel" not in opts:
-            raise ScenarioError("fig3 needs --panel top or --panel bottom")
-        if args.command == "sweep":
-            renames = {"alpha": "alphas", "n0": "n0s", "resonance": "resonances"}
-            path = run_sweep(**{renames.get(k, k): v for k, v in opts.items()})
-        elif args.command != "validate":
+        if args.command != "validate":
             # A value that overflows or turns NaN raises instead of reaching the CSV.
+            # The runner is looked up now, so a rebound module global is honoured.
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                path = {"fig2": run_fig2, "fig3": run_fig3, "fig4": run_fig4}[args.command](**opts)
+                path = globals()[f"run_{args.command}"](**opts)
     except ValueError as err:  # a ScenarioError, or a domain check of the library
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -276,14 +276,14 @@ def analytic_n_first(
     k = (1+n0/N)^{-1/2}; the order-3 phase factor is
     C = 1 - (alpha^2/8)(1 + 2 n0/N), dropped at order 1.  The curve rises
     from n0 to n0 + N and is periodic; a seedless field (n0 = 0) is rejected
-    because the modulus degenerates.
+    because the modulus degenerates, and C <= 0 as in ``lmax_exact``.
     """
     if order not in (1, 3):
         raise ValueError("order must be 1 or 3")
     r = params.seed_ratio
     k = modulus_from_seed(params.n0, params.N)
     bigk = elliptic_K(k)
-    corr = 1.0 - (params.alpha**2 / 8.0) * (1.0 + 2.0 * r) if order == 3 else 1.0
+    corr = _first_resonance_phase_factor(params) if order == 3 else 1.0
     arg = np.sqrt(1.0 + r) * (np.asarray(ell, dtype=float) / 2.0) * corr - bigk
     cn = jacobi_cn(arg, k)
     return params.n0 + params.N * np.square(cn)
@@ -414,6 +414,14 @@ def lmax_ratio(alpha: float, n0_over_N: float) -> float:
     return float(np.pi / (2.0 * alpha * log * np.sqrt(n0_over_N * (n0_over_N + 2.0))))
 
 
+def _first_resonance_phase_factor(params: FelParams) -> float:
+    """C = 1 - (alpha^2/8)(1 + 2 n0/N) of the first resonance, refused once it is <= 0."""
+    corr = 1.0 - (params.alpha**2 / 8.0) * (1.0 + 2.0 * params.seed_ratio)
+    if corr <= 0.0:
+        raise ValueError("first-resonance phase factor breaks down: alpha^2 (1 + 2 n0/N) >= 8")
+    return corr
+
+
 def lmax_exact(params: FelParams, resonance: int) -> float:
     """Exact first-maximum position (in gain lengths) of the analytic curves.
 
@@ -428,11 +436,7 @@ def lmax_exact(params: FelParams, resonance: int) -> float:
     r = params.seed_ratio
     if resonance == 1:
         k = modulus_from_seed(params.n0, params.N)
-        corr = 1.0 - (params.alpha**2 / 8.0) * (1.0 + 2.0 * r)
-        if corr <= 0.0:
-            raise ValueError(
-                "first-resonance phase factor breaks down: alpha^2 (1 + 2 n0/N) >= 8"
-            )
+        corr = _first_resonance_phase_factor(params)
         return float(2.0 * elliptic_K(k) / (np.sqrt(1.0 + r) * corr))
     if resonance == 2:
         if r <= 0:

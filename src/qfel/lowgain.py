@@ -232,6 +232,14 @@ def propagate(
     return Trace(axis_label="tau", x=taus, columns=columns)
 
 
+def _second_resonance_bracket(alpha: float) -> float:
+    """The bracket 1 - 16 alpha^2 / 9 of the second resonance, refused once it is <= 0."""
+    bracket = 1.0 - 16.0 * alpha**2 / 9.0
+    if bracket <= 0.0:
+        raise ValueError("second-resonance frequency breaks down: 16 alpha^2 / 9 >= 1")
+    return bracket
+
+
 def gain_frequency(nu: int, alpha: float) -> float:
     """Envelope frequency of dn/N in tau implied by the closed-form gains.
 
@@ -245,10 +253,7 @@ def gain_frequency(nu: int, alpha: float) -> float:
     if nu == 1:
         return alpha * (1.0 - alpha**2 / 4.0)
     if nu == 2:
-        corr = 1.0 - 16.0 * alpha**2 / 9.0
-        if corr <= 0.0:
-            raise ValueError("second-resonance frequency breaks down: 16 alpha^2 / 9 >= 1")
-        return alpha**2 * corr
+        return alpha**2 * _second_resonance_bracket(alpha)
     if nu == 3:
         return alpha**3 / 4.0
     raise ValueError(f"closed forms cover nu in {{1, 2, 3}}, got {nu}")
@@ -260,12 +265,14 @@ def analytic_dn(nu: int, alpha: float, phase: np.ndarray | float) -> np.ndarray 
     nu = 1: sin^2[Omega*t (1 - alpha^2/4)]            (amplitude 1)
     nu = 2: 2 sin^2[alpha Omega*t (1 - 16 alpha^2/9)] (amplitude 2)
     nu = 3: 3 sin^2[(alpha^2/4) Omega*t]              (amplitude 3)
+
+    The nu = 2 bracket is refused once it is <= 0, as in ``gain_frequency``.
     """
     phase = np.asarray(phase, dtype=float)
     if nu == 1:
         out = np.sin(phase * (1.0 - alpha**2 / 4.0)) ** 2
     elif nu == 2:
-        out = 2.0 * np.sin(alpha * phase * (1.0 - 16.0 * alpha**2 / 9.0)) ** 2
+        out = 2.0 * np.sin(alpha * phase * _second_resonance_bracket(alpha)) ** 2
     elif nu == 3:
         out = 3.0 * np.sin((alpha**2 / 4.0) * phase) ** 2
     else:

@@ -37,6 +37,7 @@ from .lowgain import (
     LowGainModel,
     analytic_populations_second,
     build_effective_hamiltonian,
+    fit_rabi_frequency,
     gain_frequency,
     momentum_label_to_level,
     propagate,
@@ -134,10 +135,8 @@ def check_low_gain_peaks(ctx: ValidationContext) -> CheckResult:
     gates = []
     for nu in (1, 2, 3):
         trace = ctx.low_full_trace(nu)
-        window = ripple_period(_low_params(nu))
         raw = first_maximum(trace.x, trace.column("dn_per_N"))
-        smooth = first_maximum(trace.x, trace.column("dn_per_N"), smooth_window=window)
-        freq = np.pi / (2.0 * smooth.position)
+        freq = fit_rabi_frequency(trace, smooth_window=ripple_period(_low_params(nu)))
         gates += [
             Gate(f"nu={nu} amp-{nu}", raw.amplitude - nu, 0.1),
             Gate(f"nu={nu} phase dev", freq / gain_frequency(nu, alpha) - 1.0, phase_tol[nu]),

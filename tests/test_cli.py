@@ -146,6 +146,24 @@ class TestFig4:
         assert peak2.position > 5 * peak1.position
 
 
+class TestRunnerDefaults:
+    """A runner called from Python with only ``out`` set writes what the command does."""
+
+    @pytest.mark.parametrize(
+        "argv, kwargs",
+        [
+            (["fig2"], {}),
+            (["fig4"], {}),
+            (["fig3", "--panel", "top", "--electrons", "400"], {"panel": "top", "electrons": 400}),
+        ],
+    )
+    def test_same_bytes_as_the_command(self, argv, kwargs, tmp_path, capsys):
+        assert cli.main(argv + ["--out", str(tmp_path / "cli.csv")]) == 0
+        getattr(cli, f"run_{argv[0]}")(**kwargs, out=tmp_path / "api.csv")
+        assert (tmp_path / "api.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
+        capsys.readouterr()
+
+
 class TestSweepLow:
     def test_grid_shape_and_clean_errors(self, default_rows):
         _, header, cols = default_rows
@@ -333,6 +351,16 @@ class TestExitCodes:
             ),
             (["fig2", "--end", "-inf"], "end must be positive and finite"),
             (["fig2", "--alpha", "-1e-3"], "alpha must be positive"),
+            (
+                ["fig2", "--alpha", "0.75", "--end", "10", "--samples", "6"],
+                "second-resonance frequency breaks down: 16 alpha^2 / 9 >= 1",
+            ),
+            pytest.param(
+                ["fig3", "--panel", "top", "--alpha", "2.7", "--electrons", "100", "--n0", "10",
+                 "--samples", "11", "--end", "40"],
+                "first-resonance phase factor breaks down",
+                marks=pytest.mark.filterwarnings("ignore:alpha"),
+            ),
         ],
     )
     def test_bad_parameter_is_a_one_line_usage_error(self, argv, message, tmp_path, capsys):

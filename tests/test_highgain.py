@@ -266,6 +266,15 @@ class TestClosedForms:
             analytic_n_first(1.0, p, order=2)
         with pytest.raises(ValueError, match="seed"):
             analytic_n_first(1.0, _params(1, n0=0.0))
+        # The order-3 phase factor C = 1 - (alpha^2/8)(1 + 2 n0/N) is refused
+        # once it is <= 0, as lmax_exact refuses it; order 1 drops C.
+        with pytest.warns(UserWarning, match="quantum regime"):
+            broken = _params(1, alpha=2.7, n0=10.0, N=100)
+        with pytest.raises(ValueError, match="phase factor breaks down"):
+            analytic_n_first(1.0, broken)
+        with pytest.raises(ValueError, match="phase factor breaks down"):
+            lmax_exact(broken, 1)
+        assert np.isfinite(analytic_n_first(1.0, broken, order=1))
 
     def test_second_resonance_curve_shape(self):
         p = _params(2, alpha=0.25, n0=1000.0, N=10_000)

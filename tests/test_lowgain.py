@@ -248,6 +248,8 @@ class TestClosedForms:
         # The second-resonance bracket 1 - 16 alpha^2 / 9 vanishes at 0.75.
         with pytest.raises(ValueError, match="16 alpha\\^2 / 9 >= 1"):
             gain_frequency(2, 0.75)
+        with pytest.raises(ValueError, match="16 alpha\\^2 / 9 >= 1"):
+            analytic_dn(2, 0.75, np.linspace(0.0, 10.0, 6))
 
     def test_scalar_phase_gives_scalar_gain(self):
         out = analytic_dn(1, 0.25, 0.0)
