@@ -174,6 +174,13 @@ class BandedHermitianOperator:
         return h
 
 
+def _positive_bracket(bracket: float, breakdown: str) -> float:
+    """A perturbative bracket of a closed form, refused with ``breakdown`` once it is <= 0."""
+    if bracket <= 0.0:
+        raise ValueError(breakdown)
+    return bracket
+
+
 def sample_axis(end: float, samples: int) -> np.ndarray:
     """``samples`` equally spaced abscissae from 0 to ``end``, both included.
 

@@ -31,7 +31,7 @@ from typing import Dict, Iterator
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .core import BandedHermitianOperator, FelParams, Trace, sample_axis
+from .core import BandedHermitianOperator, FelParams, Trace, _positive_bracket, sample_axis
 from .specfun import elliptic_K, jacobi_cn, modulus_from_seed
 
 __all__ = [
@@ -59,6 +59,15 @@ VARIANTS: Dict[int, tuple[str, ...]] = {
 #: Largest electron count for which the eigendecomposition route is the
 #: default; beyond this the Chebyshev propagator takes over.
 EIGH_LIMIT = 20_000
+
+#: K-panel depth of OpenBLAS's double GEMM on its SkylakeX target
+#: (DGEMM_DEFAULT_Q in OpenBLAS's param.h), the kernel NumPy's bundled
+#: OpenBLAS runs on AVX-512 hosts.  ``_panel_range`` cuts the eigenbasis
+#: GEMM on these boundaries.
+_GEMM_PANEL = 384
+#: Largest product, in multiply-adds, that the same target hands to its
+#: small-matrix kernel, which sums the whole inner dimension in one run.
+_GEMM_SMALL = 100**3
 
 #: One block of amplitudes from a route: (samples, Re c, Im c), c of shape (N+1, k).
 _Blocks = Iterator[tuple[slice, np.ndarray, np.ndarray]]
@@ -136,21 +145,45 @@ def jv(order, z):
     return bessel_j(order, z)
 
 
+def _panel_range(support: np.ndarray, n: int, width: int) -> tuple[int, int]:
+    """Rows [first, last) of an n-deep, ``width``-wide GEMM input that cover ``support``.
+
+    OpenBLAS sums the inner dimension in whole ``_GEMM_PANEL`` panels until
+    fewer than two remain, then halves the rest; ``split`` is where that tail
+    starts.  Each panel is summed from zero and the panels are added in order,
+    so dropping exact-zero rows in whole panels before ``first`` and from
+    ``last`` on leaves every output bit as it was.  A cut product small
+    enough for the small-matrix kernel would be summed in one run instead,
+    so it keeps the whole range.
+    """
+    split = _GEMM_PANEL * max(0, (n - _GEMM_PANEL) // _GEMM_PANEL)
+    first = min(int(support[0]) // _GEMM_PANEL * _GEMM_PANEL, split)
+    last = -(-(int(support[-1]) + 1) // _GEMM_PANEL) * _GEMM_PANEL
+    if last > split:
+        last = n
+    if n * width * (last - first) <= _GEMM_SMALL:
+        return 0, n
+    return first, last
+
+
 def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     """Amplitudes from one eigendecomposition, exact in ell, 64 samples per block.
 
     The seed |0> weighs eigenvector j by u_j = v[0, j] (Golub-Welsch), and
     ``stemr`` returns an exact 0.0 for most u_j, so the phases
-    exp(-i w_j ell) u_j are computed on the support rows only.  Every other
-    row of the GEMM input is an exact zero, as it was when computed in full,
-    up to the sign of zero.  Re and Im of 128 samples sit side by side in one
-    real (N+1, 256) input, so one GEMM streams the eigenvector matrix where
-    four (N+1, 64) products did.  The result is handed out as 64-sample
-    views, the shapes the observable sums were recorded with.
+    exp(-i w_j ell) u_j are computed on the support rows only.  Re and Im of
+    128 samples sit side by side in one real (K, 256) input, so one GEMM
+    streams the eigenvector matrix where four (N+1, 64) products did.  Its
+    inner dimension K is cut to the rows ``_panel_range`` keeps around the
+    support; the rows it drops are exact zeros in whole BLAS K-panels, so the
+    cut product equals the full one bit for bit on OpenBLAS's SkylakeX
+    kernel, and on any other BLAS it is still exact up to summation order.
+    The result is handed out as 64-sample views, the shapes the observable
+    sums were recorded with.
 
     The sizes keep every output bit: a GEMM 512 columns wide, observable
-    sums over 128 samples, or a GEMM whose inner dimension is cut to the
-    support all change the roundoff of the outputs.
+    sums over 128 samples, or an inner dimension cut off the panel edges all
+    change the roundoff of the outputs.
     """
     try:
         w, v = eigh_tridiagonal(d, a, lapack_driver="stemr")
@@ -161,11 +194,12 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     for start in range(0, steps.size, 128):
         t = steps[start : start + 128]
         k = t.size
+        first, last = _panel_range(support, v.shape[0], 2 * k)
         phase = np.exp(-1j * np.outer(w, t)) * u[:, None]
-        b = np.zeros((v.shape[0], 2 * k))
-        b[support, :k] = phase.real
-        b[support, k:] = phase.imag
-        c = v @ b
+        b = np.zeros((last - first, 2 * k))
+        b[support - first, :k] = phase.real
+        b[support - first, k:] = phase.imag
+        c = v[:, first:last] @ b
         for lo in range(0, k, 64):
             hi = min(lo + 64, k)
             yield slice(start + lo, start + hi), c[:, lo:hi], c[:, k + lo : k + hi]
@@ -416,10 +450,10 @@ def lmax_ratio(alpha: float, n0_over_N: float) -> float:
 
 def _first_resonance_phase_factor(params: FelParams) -> float:
     """C = 1 - (alpha^2/8)(1 + 2 n0/N) of the first resonance, refused once it is <= 0."""
-    corr = 1.0 - (params.alpha**2 / 8.0) * (1.0 + 2.0 * params.seed_ratio)
-    if corr <= 0.0:
-        raise ValueError("first-resonance phase factor breaks down: alpha^2 (1 + 2 n0/N) >= 8")
-    return corr
+    return _positive_bracket(
+        1.0 - (params.alpha**2 / 8.0) * (1.0 + 2.0 * params.seed_ratio),
+        "first-resonance phase factor breaks down: alpha^2 (1 + 2 n0/N) >= 8",
+    )
 
 
 def lmax_exact(params: FelParams, resonance: int) -> float:

@@ -33,6 +33,7 @@ from .core import (
     FelParams,
     LadderState,
     Trace,
+    _positive_bracket,
     first_maximum,
     sample_axis,
 )
@@ -232,12 +233,18 @@ def propagate(
     return Trace(axis_label="tau", x=taus, columns=columns)
 
 
+def _first_resonance_bracket(alpha: float) -> float:
+    """The bracket 1 - alpha^2 / 4 of the first resonance, refused once it is <= 0."""
+    return _positive_bracket(
+        1.0 - alpha**2 / 4.0, "first-resonance frequency breaks down: alpha^2 / 4 >= 1"
+    )
+
+
 def _second_resonance_bracket(alpha: float) -> float:
     """The bracket 1 - 16 alpha^2 / 9 of the second resonance, refused once it is <= 0."""
-    bracket = 1.0 - 16.0 * alpha**2 / 9.0
-    if bracket <= 0.0:
-        raise ValueError("second-resonance frequency breaks down: 16 alpha^2 / 9 >= 1")
-    return bracket
+    return _positive_bracket(
+        1.0 - 16.0 * alpha**2 / 9.0, "second-resonance frequency breaks down: 16 alpha^2 / 9 >= 1"
+    )
 
 
 def gain_frequency(nu: int, alpha: float) -> float:
@@ -245,13 +252,14 @@ def gain_frequency(nu: int, alpha: float) -> float:
 
     The first maximum of the gain sits at tau = pi / (2 * gain_frequency);
     scaling with resonance order follows alpha**nu up to the bracketed
-    corrections of ``analytic_dn``.  The second-resonance bracket is
-    perturbative in alpha; once 16 alpha^2 / 9 >= 1 it stops being positive
-    and the expansion has left its domain of validity, which is rejected
-    rather than returned as a zero or negative frequency.
+    corrections of ``analytic_dn``.  The first- and second-resonance
+    brackets are perturbative in alpha; once alpha^2 / 4 >= 1 or
+    16 alpha^2 / 9 >= 1 a bracket stops being positive and the expansion has
+    left its domain of validity, which is rejected rather than returned as a
+    zero or negative frequency.
     """
     if nu == 1:
-        return alpha * (1.0 - alpha**2 / 4.0)
+        return alpha * _first_resonance_bracket(alpha)
     if nu == 2:
         return alpha**2 * _second_resonance_bracket(alpha)
     if nu == 3:
@@ -266,11 +274,12 @@ def analytic_dn(nu: int, alpha: float, phase: np.ndarray | float) -> np.ndarray 
     nu = 2: 2 sin^2[alpha Omega*t (1 - 16 alpha^2/9)] (amplitude 2)
     nu = 3: 3 sin^2[(alpha^2/4) Omega*t]              (amplitude 3)
 
-    The nu = 2 bracket is refused once it is <= 0, as in ``gain_frequency``.
+    The nu = 1 and nu = 2 brackets are refused once they are <= 0, as in
+    ``gain_frequency``.
     """
     phase = np.asarray(phase, dtype=float)
     if nu == 1:
-        out = np.sin(phase * (1.0 - alpha**2 / 4.0)) ** 2
+        out = np.sin(phase * _first_resonance_bracket(alpha)) ** 2
     elif nu == 2:
         out = 2.0 * np.sin(alpha * phase * _second_resonance_bracket(alpha)) ** 2
     elif nu == 3:

@@ -218,6 +218,17 @@ class TestSweepLow:
             assert cols["error"][i] == "second-resonance frequency breaks down: 16 alpha^2 / 9 >= 1"
             assert math.isnan(cols["fitted_frequency"][i])
 
+    def test_first_resonance_breakdown_is_named(self, tmp_path):
+        # The auto span is pi / gain_frequency(1, alpha), whose bracket
+        # 1 - alpha^2 / 4 is 0 at alpha = 2 and negative above it.
+        out = tmp_path / "breakdown.csv"
+        with pytest.warns(UserWarning, match="outside the quantum regime"):
+            assert cli.main(["sweep", "--alpha", "2,2.5", "--resonance", "1", "--out", str(out)]) == 0
+        _, _, cols = _read_csv(out)
+        for i in (0, 1):
+            assert cols["error"][i] == "first-resonance frequency breaks down: alpha^2 / 4 >= 1"
+            assert math.isnan(cols["fitted_frequency"][i])
+
     def test_parallel_equals_serial_byte_for_byte(self, tmp_path):
         base = ["sweep", "--alpha", "0.1,0.2", "--resonance", "1,2", "--samples", "801"]
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"

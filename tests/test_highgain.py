@@ -129,6 +129,36 @@ class TestCoefficients:
         assert np.array_equal(op.dense(), expected)
 
 
+class TestPanelRange:
+    # OpenBLAS's SkylakeX GEMM sums 384-row K-panels; at n = 2001 whole
+    # panels end at split = 1536 and the 465-row tail is halved.
+    PANEL = highgain._GEMM_PANEL
+
+    def test_short_ladder_keeps_the_whole_range(self):
+        for n in (100, 2 * self.PANEL - 1):
+            assert highgain._panel_range(np.arange(40, 60), n, 256) == (0, n)
+
+    def test_support_reaching_the_split_tail_keeps_rows_to_the_end(self):
+        assert highgain._panel_range(np.arange(1400, 1600), 2001, 256) == (1152, 2001)
+
+    def test_first_never_passes_the_split(self):
+        assert highgain._panel_range(np.arange(1950, 2001), 2001, 256) == (1536, 2001)
+
+    @pytest.mark.parametrize("lo, hi", [(385, 386), (500, 900), (768, 1152), (1000, 1500)])
+    def test_mid_ladder_support_is_cut_on_panel_edges(self, lo, hi):
+        support = np.arange(lo, hi)
+        first, last = highgain._panel_range(support, 3001, 256)
+        assert first % self.PANEL == 0 and last % self.PANEL == 0
+        assert first <= support[0] and support[-1] < last
+        assert last - first < 3001
+
+    def test_a_small_kernel_product_keeps_the_whole_range(self):
+        # 1300 x 2 x 384 multiply-adds would go to the small-matrix kernel.
+        support = np.arange(400, 700)
+        assert highgain._panel_range(support, 1300, 2) == (0, 1300)
+        assert highgain._panel_range(support, 1300, 4) == (384, 768)
+
+
 class TestPropagation:
     @pytest.mark.parametrize("method", ["eigh", "chebyshev"])
     def test_seed_row_is_exact(self, method):
@@ -164,6 +194,31 @@ class TestPropagation:
         assert np.any(v[0] == 0.0)
         # 300 samples: two 128-sample GEMM blocks, a 44-sample tail, 64-sample views.
         _assert_eigh_matches_chebyshev(model, span, 300)
+
+    def test_eigh_cut_to_the_support_panels_matches_the_full_product(self):
+        # At N = 2000 the seed's support (eigenvectors 931-1069) keeps rows
+        # [768, 1152) of 2001, so the GEMM is cut on both edges.
+        model = HighGainModel(params=_params(2, n0=200.0, N=2000), variant="dicke_only")
+        a, d = highgain._coefficient_arrays(model)
+        w, v = highgain.eigh_tridiagonal(d, a, lapack_driver="stemr")
+        support = np.flatnonzero(v[0])
+        assert highgain._panel_range(support, v.shape[0], 256) == (768, 1152)
+        # 300 samples: two 128-sample GEMM blocks and a 44-sample tail.
+        span, samples = 45.0, 300
+        trace = propagate_dicke(model, span, samples, method="eigh")
+        ells = np.linspace(0.0, span, samples)
+        c = v @ (np.exp(-1j * np.outer(w, ells)) * v[0][:, None])
+        probs = np.abs(c) ** 2
+        norm = probs.sum(axis=0)
+        expected = {
+            "n": model.params.n0 * norm + 2 * (np.arange(v.shape[0])[:, None] * probs).sum(axis=0),
+            "norm": norm,
+            "energy": probs.T @ d + 2.0 * (c[:-1].conj() * c[1:]).real.T @ a,
+        }
+        for name, ref in expected.items():
+            scale = max(1.0, np.max(np.abs(ref))) if name == "energy" else np.max(np.abs(ref))
+            assert np.max(np.abs(trace.column(name) - ref)) <= 1e-12 * scale, name
+        _assert_eigh_matches_chebyshev(model, 2.0, 5)
 
     def test_eigensolver_failure_is_a_runtime_error(self, monkeypatch):
         def failing(*args, **kwargs):

@@ -96,16 +96,21 @@ def test_benchmark_validate_traces_bind():
 
 
 def test_collective_scan_matches_the_recorded_reference():
-    # The four seed-0 N = 1000 collective-scan traces against the benchmark's
-    # recorded outputs, to tolerances that hold on any BLAS build.  The
-    # benchmark's own bar, 1e-10 of each column's maximum, is bitwise-tight on
-    # the roundoff-only energy columns and stays the benchmark's job.
+    # The four seed-0 N = 1000 collective-scan traces, and N2000_dicke_only,
+    # whose eigenbasis GEMM is cut to its support panels on both edges,
+    # against the benchmark's recorded outputs, to tolerances that hold on
+    # any BLAS build.  The benchmark's own bar, 1e-10 of each column's
+    # maximum, is bitwise-tight on the roundoff-only energy columns and stays
+    # the benchmark's job.
     from qfel import FelParams, HighGainModel, propagate_dicke
 
     workloads = _bench_module("workloads")
     path = Path(workloads.__file__).resolve().parent / "reference" / "collective-scan.npz"
-    specs = [s for s in workloads.scan_inputs(workloads.NOMINAL_SEED) if s["electrons"] == 1000]
-    assert len(specs) == 4
+    specs = [
+        s for s in workloads.scan_inputs(workloads.NOMINAL_SEED)
+        if s["electrons"] == 1000 or s["name"] == "N2000_dicke_only"
+    ]
+    assert len(specs) == 5
     with np.load(path) as reference:
         for spec in specs:
             params = FelParams(alpha=spec["alpha"], nu=spec["nu"], n0=spec["n0"], N=spec["electrons"], context="high")

@@ -250,6 +250,13 @@ class TestClosedForms:
             gain_frequency(2, 0.75)
         with pytest.raises(ValueError, match="16 alpha\\^2 / 9 >= 1"):
             analytic_dn(2, 0.75, np.linspace(0.0, 10.0, 6))
+        # The first-resonance bracket 1 - alpha^2 / 4 vanishes at 2.
+        for alpha in (2.0, 2.5):
+            with pytest.raises(ValueError, match="alpha\\^2 / 4 >= 1"):
+                gain_frequency(1, alpha)
+            with pytest.raises(ValueError, match="alpha\\^2 / 4 >= 1"):
+                analytic_dn(1, alpha, np.linspace(0.0, 10.0, 6))
+        assert gain_frequency(1, 1.9) == 1.9 * (1.0 - 1.9**2 / 4.0)
 
     def test_scalar_phase_gives_scalar_gain(self):
         out = analytic_dn(1, 0.25, 0.0)
