@@ -261,10 +261,12 @@ def _sweep_point_high(alpha: float, n0: float, nu: int, electrons: int) -> list:
         return row
     errors: list[str] = []
     try:
-        row[5] = n0 + nu * electrons  # closed-form ceiling of the first maximum
         row[6] = lmax_exact(params, nu)
     except Exception as err:  # noqa: BLE001
         errors.append(_sanitize(err))
+    if nu in (1, 2):
+        # Closed-form ceiling of the first maximum, for the resonances lmax_exact accepts.
+        row[5] = n0 + nu * electrons
     try:
         row[7] = lmax_ratio(alpha, params.seed_ratio)
         # lmax_exact reads alpha, n0 and N only, so one FelParams serves both resonances.
@@ -303,6 +305,8 @@ def run_sweep(
     """
     if regime not in ("low", "high"):
         raise ScenarioError(f"regime must be 'low' or 'high', got {regime!r}")
+    if jobs < 1:
+        raise ScenarioError(f"jobs must be at least 1, got {jobs}")
     if regime == "low":
         if n0 is not None or electrons is not None:
             raise ScenarioError("the low-gain sweep follows one unseeded electron; --n0/--electrons do not apply")

@@ -1,10 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 Everything here deliberately avoids the package's own solution paths:
-dense matrix exponentials instead of banded eigendecompositions, generic
+dense matrix exponentials instead of banded eigendecompositions, and generic
 ODE integration of the interaction-picture H(tau) instead of the
-static-frame equivalence, and scipy's special functions instead of the
-package's AGM/Landen routines.
+static-frame equivalence.
 """
 
 from __future__ import annotations

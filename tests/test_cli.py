@@ -145,6 +145,15 @@ class TestFig4:
         # The doubled yield costs an order of magnitude in length.
         assert peak2.position > 5 * peak1.position
 
+    def test_small_seed_stays_between_seed_and_ceiling(self, tmp_path):
+        # n0/N = 1e-10 puts k*k at 1 - 1e-10, where cn needs its period
+        # reduction: unreduced, SciPy's series fills the column with NaN.
+        out = tmp_path / "fig4.csv"
+        assert cli.main(["fig4", "--n0", "1e-6", "--out", str(out)]) == 0
+        n_first = _read_csv(out)[2]["n_first_resonance"]
+        assert np.all(np.isfinite(n_first))
+        assert np.all((n_first >= 1e-6) & (n_first <= 1e-6 + 10_000))
+
 
 class TestRunnerDefaults:
     """A runner called from Python with only ``out`` set writes what the command does."""
@@ -292,6 +301,16 @@ class TestSweepHigh:
             assert np.isnan(cols["length_ratio_shorthand"][i])
             assert cols["error"][i].count("alpha must be finite") == 1
 
+    def test_rejected_resonance_rows_hold_no_ceiling(self, tmp_path):
+        out = tmp_path / "nu.csv"
+        argv = ["sweep", "--regime", "high", "--resonance", "3,-1", "--alpha", "0.2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        _, _, cols = _read_csv(out)
+        for i, nu in enumerate((3, -1)):
+            assert np.isnan(cols["max_amplitude"][i])
+            assert np.isnan(cols["max_position"][i])
+            assert cols["error"][i] == f"resonance must be 1 or 2; got {nu}"
+
     def test_rejects_low_regime_only_flags(self, capsys):
         for flag, value in (("--variant", "dicke_only"), ("--end", "10"), ("--samples", "100")):
             assert cli.main(["sweep", "--regime", "high", flag, value]) == 2
@@ -372,6 +391,9 @@ class TestExitCodes:
                 "first-resonance phase factor breaks down",
                 marks=pytest.mark.filterwarnings("ignore:alpha"),
             ),
+            # Values below one start no threads; large values are left untested.
+            (["sweep", "--regime", "high", "--jobs", "0"], "jobs must be at least 1, got 0"),
+            (["sweep", "--regime", "high", "--jobs", "-3"], "jobs must be at least 1, got -3"),
         ],
     )
     def test_bad_parameter_is_a_one_line_usage_error(self, argv, message, tmp_path, capsys):

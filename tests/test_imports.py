@@ -22,30 +22,43 @@ _PROBE = f"""
 import json, sys
 import numpy as np
 import qfel, qfel.cli
-from qfel import FelParams, HighGainModel, integrate_semiclassical, propagate_dicke
+from qfel import FelParams, HighGainModel, analytic_n_first, integrate_semiclassical, propagate_dicke
 
 def loaded():
     return {{name: name in sys.modules for name in {DEFERRED!r}}}
 
-stages = {{"import": loaded()}}
 p = FelParams(alpha=0.25, nu=2, n0=10.0, N=50, context="high")
-propagate_dicke(HighGainModel(params=p, variant="dicke_only"), 1.0, 3, method="chebyshev")
-stages["chebyshev"] = loaded()
-integrate_semiclassical(p, 1.0, 3)
-stages["mean_field"] = loaded()
+p1 = FelParams(alpha=0.25, nu=1, n0=10.0, N=50, context="high")
+routes = {{
+    "chebyshev": lambda: propagate_dicke(HighGainModel(params=p, variant="dicke_only"), 1.0, 3, method="chebyshev"),
+    "mean_field": lambda: integrate_semiclassical(p, 1.0, 3),
+    "closed_form": lambda: analytic_n_first(np.linspace(0.0, 1.0, 3), p1),
+}}
+stages = {{"import": loaded()}}
+for route in sys.argv[1:]:
+    routes[route]()
+    stages[route] = loaded()
 print(json.dumps(stages))
 """
 
 
-@pytest.fixture(scope="module")
-def stages():
+def _probe(*routes):
+    """Deferred-module flags after a fresh ``import qfel`` and after each route, in order."""
     src = str(Path(qfel.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, timeout=120, check=True
+        [sys.executable, "-c", _PROBE, *routes], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def stages():
+    # The closed form gets its own interpreter: after the Chebyshev route it
+    # would find scipy.special loaded already, and before it, it would hide
+    # that the Chebyshev route loads it.
+    return {**_probe("chebyshev", "mean_field"), "closed_form": _probe("closed_form")["closed_form"]}
 
 
 def test_import_loads_none_of_the_deferred_modules(stages):
@@ -54,6 +67,10 @@ def test_import_loads_none_of_the_deferred_modules(stages):
 
 def test_chebyshev_route_loads_scipy_special_only(stages):
     assert stages["chebyshev"] == {"scipy.integrate": False, "scipy.special": True, "scipy.optimize": False}
+
+
+def test_closed_form_loads_scipy_special_only(stages):
+    assert stages["closed_form"] == {"scipy.integrate": False, "scipy.special": True, "scipy.optimize": False}
 
 
 def test_mean_field_route_loads_scipy_integrate(stages):

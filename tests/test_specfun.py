@@ -1,25 +1,82 @@
-"""Elliptic integral and Jacobi cn against scipy and identity oracles."""
+"""Elliptic integral and Jacobi cn against mpmath reference values and identity oracles."""
 
 import numpy as np
 import pytest
-import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfel.specfun import EllipticModulus, elliptic_K, jacobi_cn, modulus_from_seed
 
-# scipy works with the parameter m = k**2; the package works with the
-# modulus k.  The explicit conversion below is the point of the contract.
 MODULI = [0.0, 0.05, 0.3, 0.5, 1 / np.sqrt(2.0), 0.9, 0.95346, 0.999, 0.999999]
+
+# Computed once with mpmath 1.3.0 at mp.dps = 50 (ellipk, ellipfun("cn")) for
+# the seed modulus k = (1 + n0/N)**-1/2 in double precision, at m = k*k rounded
+# to double.  That m is the parameter SciPy receives; at 1 - m ~ 1e-14 half an
+# ulp of m moves K by ~3e-3, so the reference must start from the same m.
+# n0/N -> (K(k), ((u, cn(u, k)), ...)) at u = 0.3K, K, 2K, 3K and 39.5K.  The
+# three smallest seeds put m at or above 1 - 1e-10, where SciPy's ellipj
+# switches to its non-periodic series.
+REFERENCE = {
+    0.1: (
+        2.623025317161034,
+        (
+            (0.7869075951483102, 0.7500335925277396),
+            (2.623025317161034, 5.7661073722352734e-18),
+            (5.246050634322068, -1.0),
+            (7.869075951483103, 1.165996126576633e-16),
+            (103.60950002786085, 0.48131328574592736),
+        ),
+    ),
+    0.0001: (
+        5.991639326778747,
+        (
+            (1.7974917980336242, 0.32251417576126906),
+            (5.991639326778747, 2.686190251110333e-19),
+            (11.983278653557495, -1.0),
+            (17.974917980336244, 1.695682320684915e-17),
+            (236.6697534077605, 0.09950125621064179),
+        ),
+    ),
+    1e-10: (
+        12.899219785017415,
+        (
+            (3.8697659355052245, 0.041708349192197874),
+            (12.899219785017415, 7.070531245042045e-21),
+            (25.79843957003483, -1.0),
+            (38.697659355052245, -2.1211593735126136e-20),
+            (509.5191815081879, 0.0031622619143096093),
+        ),
+    ),
+    1e-12: (
+        15.201760470772257,
+        (
+            (4.560528141231677, 0.020910783536493928),
+            (15.201760470772257, -6.303516525611393e-22),
+            (30.403520941544514, -1.0),
+            (45.60528141231677, 1.891054957683418e-21),
+            (600.4695385955041, 0.001000021724371708),
+        ),
+    ),
+    1e-14: (
+        17.50478981079335,
+        (
+            (5.251436943238005, 0.01047967911086627),
+            (17.50478981079335, -1.2645295825522748e-22),
+            (35.0095796215867, -1.0),
+            (52.51436943238005, 2.4229515532693202e-23),
+            (691.4391975263374, 0.0003161645428054433),
+        ),
+    ),
+}
 
 
 class TestEllipticK:
     def test_value_at_zero_is_exact(self):
         assert elliptic_K(0.0) == np.pi / 2
 
-    def test_against_scipy_over_modulus_range(self):
-        for k in MODULI:
-            assert elliptic_K(k) == pytest.approx(sps.ellipk(k * k), rel=1e-14, abs=1e-14)
+    def test_mpmath_reference_values(self):
+        for ratio, (bigk, _) in REFERENCE.items():
+            assert elliptic_K(modulus_from_seed(ratio, 1)) == pytest.approx(bigk, rel=1e-14), ratio
 
     def test_reference_point_half_sqrt2(self):
         # Lemniscatic value, frozen from an independent AGM evaluation.
@@ -36,16 +93,17 @@ class TestEllipticK:
 
 
 class TestJacobiCn:
-    def test_against_scipy_on_grid(self):
-        u = np.linspace(-30.0, 30.0, 601)
-        for k in MODULI:
-            expected = sps.ellipj(u, k * k)[1]  # (sn, cn, dn, ph)
-            assert np.max(np.abs(jacobi_cn(u, k) - expected)) < 1e-10
+    def test_mpmath_reference_values(self):
+        for ratio, (_, samples) in REFERENCE.items():
+            u, expected = np.array(samples).T
+            k = modulus_from_seed(ratio, 1)
+            assert np.max(np.abs(jacobi_cn(u, k) - expected)) < 1e-12, ratio
+            assert np.max(np.abs(jacobi_cn(-u, k) - expected)) < 1e-12, ratio
 
     def test_scalar_input_returns_float(self):
         out = jacobi_cn(0.3, 0.5)
         assert isinstance(out, float)
-        assert out == pytest.approx(sps.ellipj(0.3, 0.25)[1], abs=1e-12)
+        assert out == pytest.approx(0.9556620945452506, abs=1e-15)  # mpmath, as REFERENCE
 
     def test_origin_value(self):
         for k in MODULI:
@@ -60,7 +118,7 @@ class TestJacobiCn:
             assert abs(jacobi_cn(elliptic_K(k), k)) < 1e-10
 
     def test_periodicity_4k(self):
-        for k in (0.3, 0.7, 0.95346):
+        for k in (0.3, 0.7, 0.95346, modulus_from_seed(1e-12, 1)):
             bigk = elliptic_K(k)
             u = np.linspace(-8 * bigk, 8 * bigk, 301)
             assert np.max(np.abs(jacobi_cn(u + 4 * bigk, k) - jacobi_cn(u, k))) < 1e-9
@@ -71,17 +129,6 @@ class TestJacobiCn:
             cn = jacobi_cn(u, k)
             assert np.max(np.abs(cn)) <= 1.0 + 1e-12
             assert np.max(np.abs(jacobi_cn(-u, k) - cn)) < 1e-12
-
-    @given(
-        u=st.floats(min_value=-100.0, max_value=100.0),
-        k=st.floats(min_value=0.0, max_value=0.9999),
-    )
-    @settings(deadline=None, max_examples=150)
-    def test_pythagorean_identity_against_scipy(self, u, k):
-        cn = jacobi_cn(u, k)
-        sn_ref, cn_ref = sps.ellipj(u, k * k)[:2]
-        assert cn == pytest.approx(cn_ref, abs=1e-9)
-        assert cn * cn + sn_ref * sn_ref == pytest.approx(1.0, abs=1e-9)
 
 
 class TestModulus:
