@@ -260,19 +260,29 @@ def _sweep_point_high(alpha: float, n0: float, nu: int, electrons: int) -> list:
         row[9] = _sanitize(err)
         return row
     errors: list[str] = []
-    try:
-        row[6] = lmax_exact(params, nu)
-    except Exception as err:  # noqa: BLE001
-        errors.append(_sanitize(err))
+    # lmax_exact reads alpha, n0 and N only, so one FelParams serves every
+    # resonance; each is computed once per row, so its error is written once.
+    lengths: dict[int, float] = {}
+
+    def exact(resonance: int) -> float:
+        if resonance not in lengths:
+            try:
+                lengths[resonance] = lmax_exact(params, resonance)
+            except Exception as err:  # noqa: BLE001
+                errors.append(_sanitize(err))
+                lengths[resonance] = math.nan
+        return lengths[resonance]
+
+    row[6] = exact(nu)
     if nu in (1, 2):
         # Closed-form ceiling of the first maximum, for the resonances lmax_exact accepts.
         row[5] = n0 + nu * electrons
     try:
         row[7] = lmax_ratio(alpha, params.seed_ratio)
-        # lmax_exact reads alpha, n0 and N only, so one FelParams serves both resonances.
-        row[8] = lmax_exact(params, 2) / lmax_exact(params, 1)
     except Exception as err:  # noqa: BLE001
         errors.append(_sanitize(err))
+    else:
+        row[8] = exact(2) / exact(1)
     row[9] = "; ".join(errors)
     return row
 

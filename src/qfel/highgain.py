@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .core import BandedHermitianOperator, FelParams, Trace, _positive_bracket, sample_axis
 from .specfun import elliptic_K, jacobi_cn, modulus_from_seed
@@ -62,9 +61,12 @@ EIGH_LIMIT = 20_000
 
 #: K-panel depth of OpenBLAS's double GEMM on its SkylakeX target
 #: (DGEMM_DEFAULT_Q in OpenBLAS's param.h), the kernel NumPy's bundled
-#: OpenBLAS runs on AVX-512 hosts.  ``_panel_range`` cuts the eigenbasis
-#: GEMM on these boundaries.
+#: OpenBLAS runs on AVX-512 hosts.  ``_gemm_pieces`` cuts the eigenbasis
+#: GEMM into one piece per panel.
 _GEMM_PANEL = 384
+#: Output columns the same target blocks by at a full panel depth
+#: (DGEMM_DEFAULT_P); at a shorter depth it takes proportionally more.
+_GEMM_P = 192
 #: Largest product, in multiply-adds, that the same target hands to its
 #: small-matrix kernel, which sums the whole inner dimension in one run.
 _GEMM_SMALL = 100**3
@@ -145,25 +147,52 @@ def jv(order, z):
     return bessel_j(order, z)
 
 
-def _panel_range(support: np.ndarray, n: int, width: int) -> tuple[int, int]:
-    """Rows [first, last) of an n-deep, ``width``-wide GEMM input that cover ``support``.
+def eigh_tridiagonal(d, e, **kwargs):
+    """Eigenvalues and eigenvectors of a real symmetric tridiagonal, from ``scipy.linalg``.
+
+    ``scipy.linalg`` takes longer to import than the rest of the package and
+    only the eigendecomposition route needs it, so it is imported on the
+    first call.  The name stays a module global so the route's call
+    resolves (and can be counted) here.
+    """
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(d, e, **kwargs)
+
+
+def _gemm_pieces(support: np.ndarray, n: int, width: int) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of an n-deep, ``width``-wide GEMM input around ``support``.
 
     OpenBLAS sums the inner dimension in whole ``_GEMM_PANEL`` panels until
     fewer than two remain, then halves the rest; ``split`` is where that tail
-    starts.  Each panel is summed from zero and the panels are added in order,
-    so dropping exact-zero rows in whole panels before ``first`` and from
-    ``last`` on leaves every output bit as it was.  A cut product small
-    enough for the small-matrix kernel would be summed in one run instead,
-    so it keeps the whole range.
+    starts.  Each panel is summed from zero and added to the output in order,
+    so one piece per panel that holds support rows, added in panel order,
+    gives the full product bit for bit.  A piece is trimmed to the panel's
+    first and last support row, except where trimming moves the bits: above
+    ``_GEMM_P`` columns OpenBLAS blocks the columns by the inner depth, and
+    a width that is not a multiple of 8 then sums its edge columns in
+    another order, so those pieces keep the whole panel.  The tail's two
+    halves are added to the output one by one, so a support that reaches the
+    tail keeps a single piece from its first panel's edge to n.  A piece
+    small enough for the small-matrix kernel would be summed in one run, so
+    it is widened inside its panel, and if a whole panel is that small the
+    product keeps every row.
     """
     split = _GEMM_PANEL * max(0, (n - _GEMM_PANEL) // _GEMM_PANEL)
-    first = min(int(support[0]) // _GEMM_PANEL * _GEMM_PANEL, split)
-    last = -(-(int(support[-1]) + 1) // _GEMM_PANEL) * _GEMM_PANEL
-    if last > split:
-        last = n
-    if n * width * (last - first) <= _GEMM_SMALL:
-        return 0, n
-    return first, last
+    need = _GEMM_SMALL // (n * width) + 1
+    if need > _GEMM_PANEL:
+        return [(0, n)]
+    edges = support // _GEMM_PANEL * _GEMM_PANEL
+    if support[-1] >= split:
+        return [(min(int(edges[0]), split), n)]
+    if width > _GEMM_P and width % 8:
+        return [(int(edge), int(edge) + _GEMM_PANEL) for edge in np.unique(edges)]
+    pieces = []
+    for edge in np.unique(edges):
+        rows = support[edges == edge]
+        hi = min(max(int(rows[-1]) + 1, int(rows[0]) + need), int(edge) + _GEMM_PANEL)
+        pieces.append((min(int(rows[0]), hi - need), hi))
+    return pieces
 
 
 def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
@@ -173,17 +202,21 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     ``stemr`` returns an exact 0.0 for most u_j, so the phases
     exp(-i w_j ell) u_j are computed on the support rows only.  Re and Im of
     128 samples sit side by side in one real (K, 256) input, so one GEMM
-    streams the eigenvector matrix where four (N+1, 64) products did.  Its
-    inner dimension K is cut to the rows ``_panel_range`` keeps around the
-    support; the rows it drops are exact zeros in whole BLAS K-panels, so the
-    cut product equals the full one bit for bit on OpenBLAS's SkylakeX
-    kernel, and on any other BLAS it is still exact up to summation order.
-    The result is handed out as 64-sample views, the shapes the observable
-    sums were recorded with.
+    streams the eigenvector matrix where four (N+1, 64) products did.  That
+    GEMM runs in the pieces ``_gemm_pieces`` cuts around the support, one
+    per BLAS K-panel that holds support rows: the first piece is written to
+    one C-ordered block and each later one is added through one buffer,
+    both allocated once per call, so no block allocates a product (a
+    temporary per piece left more of the heap resident over repeated
+    calls).  The rows left out are exact zeros, so the sum equals the full
+    product bit for bit on OpenBLAS's SkylakeX kernel, and on any other BLAS
+    it is still exact up to summation order.  The result is handed out as
+    64-sample views of that block, the shapes the observable sums were
+    recorded with; the next block overwrites them.
 
     The sizes keep every output bit: a GEMM 512 columns wide, observable
-    sums over 128 samples, or an inner dimension cut off the panel edges all
-    change the roundoff of the outputs.
+    sums over 128 samples, or a piece that moves a panel edge all change
+    the roundoff of the outputs; trimming zero rows inside a panel does not.
     """
     try:
         w, v = eigh_tridiagonal(d, a, lapack_driver="stemr")
@@ -191,15 +224,23 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
         raise RuntimeError(f"tridiagonal eigensolver failed: {err}") from err
     support = np.flatnonzero(v[0])
     w, u = w[support], v[0, support]
+    n = v.shape[0]
+    out, buffer = np.empty((2, n * 2 * min(128, steps.size)))
     for start in range(0, steps.size, 128):
         t = steps[start : start + 128]
         k = t.size
-        first, last = _panel_range(support, v.shape[0], 2 * k)
         phase = np.exp(-1j * np.outer(w, t)) * u[:, None]
-        b = np.zeros((last - first, 2 * k))
-        b[support - first, :k] = phase.real
-        b[support - first, k:] = phase.imag
-        c = v[:, first:last] @ b
+        c = out[: n * 2 * k].reshape(n, 2 * k)
+        piece = buffer[: n * 2 * k].reshape(n, 2 * k)
+        for i, (lo, hi) in enumerate(_gemm_pieces(support, n, 2 * k)):
+            first, last = np.searchsorted(support, (lo, hi))
+            rows = support[first:last] - lo
+            b = np.zeros((hi - lo, 2 * k))
+            b[rows, :k] = phase.real[first:last]
+            b[rows, k:] = phase.imag[first:last]
+            np.matmul(v[:, lo:hi], b, out=piece if i else c)
+            if i:
+                c += piece
         for lo in range(0, k, 64):
             hi = min(lo + 64, k)
             yield slice(start + lo, start + hi), c[:, lo:hi], c[:, k + lo : k + hi]

@@ -292,6 +292,21 @@ class TestSweepHigh:
                 assert np.isnan(cols["max_position"][i])
                 assert np.isfinite(cols["length_ratio_shorthand"][i])
 
+    @pytest.mark.filterwarnings("ignore:alpha")
+    def test_phase_factor_breakdown_is_reported_once(self, tmp_path):
+        # The row reads the first-resonance length for max_position and for
+        # the exact ratio; it is computed once, so its error is written once.
+        out = tmp_path / "breakdown.csv"
+        argv = ["sweep", "--regime", "high", "--alpha", "3", "--n0", "1", "--electrons", "10000",
+                "--resonance", "1,2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        _, _, cols = _read_csv(out)
+        text = "first-resonance phase factor breaks down: alpha^2 (1 + 2 n0/N) >= 8"
+        assert list(cols["error"]) == [text, text]
+        assert np.isnan(cols["max_position"][0]) and np.isfinite(cols["max_position"][1])
+        assert list(cols["max_amplitude"]) == [10001.0, 20001.0]
+        assert all(np.isnan(cols["length_ratio_exact"]))
+
     def test_non_finite_alpha_row(self, tmp_path):
         out = tmp_path / "inf.csv"
         assert cli.main(["sweep", "--regime", "high", "--alpha", "inf", "--out", str(out)]) == 0

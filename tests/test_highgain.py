@@ -129,34 +129,107 @@ class TestCoefficients:
         assert np.array_equal(op.dense(), expected)
 
 
+def _avx512():
+    module = getattr(np, "_core", None) or np.core
+    return bool(module._multiarray_umath.__cpu_features__.get("AVX512F"))
+
+
 class TestPanelRange:
     # OpenBLAS's SkylakeX GEMM sums 384-row K-panels; at n = 2001 whole
     # panels end at split = 1536 and the 465-row tail is halved.
+    # ``_gemm_pieces`` cuts the GEMM into one piece per panel that holds
+    # support rows.
     PANEL = highgain._GEMM_PANEL
+
+    @staticmethod
+    def _split(n):
+        return highgain._GEMM_PANEL * max(0, (n - highgain._GEMM_PANEL) // highgain._GEMM_PANEL)
+
+    def _assert_covers(self, pieces, support, n, width):
+        """Every support row in a piece; pieces ordered, apart, off the small kernel.
+
+        Each piece lies inside one panel below the split, or is the only
+        piece and runs from a panel edge to n, keeping the tail whole.
+        """
+        covered = np.zeros(n, bool)
+        for lo, hi in pieces:
+            edge = lo // self.PANEL * self.PANEL
+            assert hi <= edge + self.PANEL <= self._split(n) or (pieces == [(lo, n)] and lo == edge)
+            assert not covered[lo:hi].any()
+            covered[lo:hi] = True
+        assert covered[support].all()
+        assert [lo for lo, _ in pieces] == sorted(lo for lo, _ in pieces)
+        if n * width * n > highgain._GEMM_SMALL:
+            assert all(n * width * (hi - lo) > highgain._GEMM_SMALL for lo, hi in pieces)
 
     def test_short_ladder_keeps_the_whole_range(self):
         for n in (100, 2 * self.PANEL - 1):
-            assert highgain._panel_range(np.arange(40, 60), n, 256) == (0, n)
+            assert highgain._gemm_pieces(np.arange(40, 60), n, 256) == [(0, n)]
 
     def test_support_reaching_the_split_tail_keeps_rows_to_the_end(self):
-        assert highgain._panel_range(np.arange(1400, 1600), 2001, 256) == (1152, 2001)
+        # The tail's halves are added one by one, so one piece runs from the
+        # first support panel's edge to n.
+        assert highgain._gemm_pieces(np.arange(1400, 1600), 2001, 256) == [(1152, 2001)]
+        assert highgain._gemm_pieces(np.array([10, 1000, 2000]), 2001, 256) == [(0, 2001)]
 
     def test_first_never_passes_the_split(self):
-        assert highgain._panel_range(np.arange(1950, 2001), 2001, 256) == (1536, 2001)
+        assert highgain._gemm_pieces(np.arange(1950, 2001), 2001, 256) == [(1536, 2001)]
 
     @pytest.mark.parametrize("lo, hi", [(385, 386), (500, 900), (768, 1152), (1000, 1500)])
     def test_mid_ladder_support_is_cut_on_panel_edges(self, lo, hi):
         support = np.arange(lo, hi)
-        first, last = highgain._panel_range(support, 3001, 256)
-        assert first % self.PANEL == 0 and last % self.PANEL == 0
-        assert first <= support[0] and support[-1] < last
-        assert last - first < 3001
+        pieces = highgain._gemm_pieces(support, 3001, 256)
+        self._assert_covers(pieces, support, 3001, 256)
+        assert pieces[-1][1] <= self._split(3001)
+        assert sum(last - first for first, last in pieces) < 3001
+
+    def test_pieces_are_trimmed_to_the_support_inside_each_panel(self):
+        # N = 2000 third_order: the seed's support, rows 995-1295, straddles
+        # the panel edge at 1152.
+        support = np.arange(995, 1296)
+        assert highgain._gemm_pieces(support, 2001, 256) == [(995, 1152), (1152, 1296)]
+        # A width above DGEMM_DEFAULT_P that is not a multiple of 8 keeps whole panels.
+        assert highgain._gemm_pieces(support, 2001, 250) == [(768, 1152), (1152, 1536)]
+        assert highgain._gemm_pieces(support, 2001, 248) == [(995, 1152), (1152, 1296)]
 
     def test_a_small_kernel_product_keeps_the_whole_range(self):
         # 1300 x 2 x 384 multiply-adds would go to the small-matrix kernel.
         support = np.arange(400, 700)
-        assert highgain._panel_range(support, 1300, 2) == (0, 1300)
-        assert highgain._panel_range(support, 1300, 4) == (384, 768)
+        assert highgain._gemm_pieces(support, 1300, 2) == [(0, 1300)]
+        assert highgain._gemm_pieces(support, 1300, 4) == [(400, 700)]
+
+    def test_a_small_piece_is_widened_inside_its_panel(self):
+        # One support row per panel: 2001 x 256 x 1 is small-kernel sized.
+        pieces = highgain._gemm_pieces(np.array([500, 1000]), 2001, 256)
+        assert pieces == [(500, 502), (1000, 1002)]
+        pieces = highgain._gemm_pieces(np.array([767]), 2001, 88)
+        assert pieces == [(762, 768)]
+        self._assert_covers(pieces, np.array([767]), 2001, 88)
+
+    @pytest.mark.skipif(not _avx512(), reason="the panel model is OpenBLAS's AVX-512 (SkylakeX) DGEMM")
+    def test_piece_sum_equals_the_full_product_bit_for_bit(self):
+        # The pieces summed in order, the first written and each later one
+        # added, against v @ b with b zero off the support.  Supports are
+        # contiguous or gapped windows; at n = 1001 one reaches the tail as
+        # N = 1000 first_order's 219 rows over 0-1000 do.
+        rng = np.random.default_rng(13)
+        for n in (700, 1001, 1645, 2212, 3001):
+            v = np.asfortranarray(rng.standard_normal((n, n)))
+            for trial in range(6):
+                width = int(rng.integers(2, 257))
+                lo = int(rng.integers(0, n - 2))
+                hi = int(rng.integers(lo + 2, min(n, lo + 900) + 1))
+                window = np.arange(lo, hi)
+                support = window if trial % 2 else np.sort(rng.choice(window, (hi - lo) // 3 + 1, replace=False))
+                b = np.zeros((n, width))
+                b[support] = rng.standard_normal((support.size, width))
+                pieces = highgain._gemm_pieces(support, n, width)
+                self._assert_covers(pieces, support, n, width)
+                first, last = pieces[0]
+                c = v[:, first:last] @ b[first:last]
+                for first, last in pieces[1:]:
+                    c += v[:, first:last] @ b[first:last]
+                assert np.array_equal(c, v @ b), (n, width, pieces)
 
 
 class TestPropagation:
@@ -196,29 +269,35 @@ class TestPropagation:
         _assert_eigh_matches_chebyshev(model, span, 300)
 
     def test_eigh_cut_to_the_support_panels_matches_the_full_product(self):
-        # At N = 2000 the seed's support (eigenvectors 931-1069) keeps rows
-        # [768, 1152) of 2001, so the GEMM is cut on both edges.
-        model = HighGainModel(params=_params(2, n0=200.0, N=2000), variant="dicke_only")
-        a, d = highgain._coefficient_arrays(model)
-        w, v = highgain.eigh_tridiagonal(d, a, lapack_driver="stemr")
-        support = np.flatnonzero(v[0])
-        assert highgain._panel_range(support, v.shape[0], 256) == (768, 1152)
-        # 300 samples: two 128-sample GEMM blocks and a 44-sample tail.
-        span, samples = 45.0, 300
-        trace = propagate_dicke(model, span, samples, method="eigh")
-        ells = np.linspace(0.0, span, samples)
-        c = v @ (np.exp(-1j * np.outer(w, ells)) * v[0][:, None])
-        probs = np.abs(c) ** 2
-        norm = probs.sum(axis=0)
-        expected = {
-            "n": model.params.n0 * norm + 2 * (np.arange(v.shape[0])[:, None] * probs).sum(axis=0),
-            "norm": norm,
-            "energy": probs.T @ d + 2.0 * (c[:-1].conj() * c[1:]).real.T @ a,
-        }
-        for name, ref in expected.items():
-            scale = max(1.0, np.max(np.abs(ref))) if name == "energy" else np.max(np.abs(ref))
-            assert np.max(np.abs(trace.column(name) - ref)) <= 1e-12 * scale, name
-        _assert_eigh_matches_chebyshev(model, 2.0, 5)
+        # At N = 2000 the seed's support keeps a few hundred of 2001 rows, in
+        # one panel for dicke_only; the third_order support straddles the
+        # panel edge at 1152.
+        cases = [
+            (2, "dicke_only", 0.25, 45.0, (931, 1070), [(931, 1070)]),
+            (1, "third_order", 0.5, 7.0, (995, 1296), [(995, 1152), (1152, 1296)]),
+        ]
+        for nu, variant, alpha, span, rows, pieces in cases:
+            model = HighGainModel(params=_params(nu, alpha=alpha, n0=200.0, N=2000), variant=variant)
+            a, d = highgain._coefficient_arrays(model)
+            w, v = highgain.eigh_tridiagonal(d, a, lapack_driver="stemr")
+            support = np.flatnonzero(v[0])
+            assert (support[0], support[-1] + 1) == rows
+            assert highgain._gemm_pieces(support, v.shape[0], 256) == pieces
+            # 300 samples: two 128-sample GEMM blocks and a 44-sample tail.
+            trace = propagate_dicke(model, span, 300, method="eigh")
+            ells = np.linspace(0.0, span, 300)
+            c = v @ (np.exp(-1j * np.outer(w, ells)) * v[0][:, None])
+            probs = np.abs(c) ** 2
+            norm = probs.sum(axis=0)
+            expected = {
+                "n": model.params.n0 * norm + model.photon_step * (np.arange(v.shape[0])[:, None] * probs).sum(axis=0),
+                "norm": norm,
+                "energy": probs.T @ d + 2.0 * (c[:-1].conj() * c[1:]).real.T @ a,
+            }
+            for name, ref in expected.items():
+                scale = max(1.0, np.max(np.abs(ref))) if name == "energy" else np.max(np.abs(ref))
+                assert np.max(np.abs(trace.column(name) - ref)) <= 1e-12 * scale, name
+            _assert_eigh_matches_chebyshev(model, 2.0, 5)
 
     def test_eigensolver_failure_is_a_runtime_error(self, monkeypatch):
         def failing(*args, **kwargs):

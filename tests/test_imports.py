@@ -16,21 +16,29 @@ import pytest
 
 import qfel
 
-DEFERRED = ("scipy.integrate", "scipy.special", "scipy.optimize")
+DEFERRED = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg")
 
 _PROBE = f"""
 import json, sys
 import numpy as np
 import qfel, qfel.cli
-from qfel import FelParams, HighGainModel, analytic_n_first, integrate_semiclassical, propagate_dicke
+from qfel import (
+    FelParams, HighGainModel, LadderState, LowGainModel, analytic_n_first, integrate_semiclassical, propagate,
+    propagate_dicke,
+)
 
 def loaded():
-    return {{name: name in sys.modules for name in {DEFERRED!r}}}
+    flags = {{name: name in sys.modules for name in {DEFERRED!r}}}
+    flags["scipy"] = any(name.split(".")[0] == "scipy" for name in sys.modules)
+    return flags
 
 p = FelParams(alpha=0.25, nu=2, n0=10.0, N=50, context="high")
 p1 = FelParams(alpha=0.25, nu=1, n0=10.0, N=50, context="high")
+low = FelParams(alpha=0.25, nu=1, context="low")
 routes = {{
     "chebyshev": lambda: propagate_dicke(HighGainModel(params=p, variant="dicke_only"), 1.0, 3, method="chebyshev"),
+    "low_gain": lambda: propagate(LowGainModel(params=low, variant="effective"), LadderState.initial(low), 1.0, 3),
+    "eigh": lambda: propagate_dicke(HighGainModel(params=p, variant="dicke_only"), 1.0, 3),
     "mean_field": lambda: integrate_semiclassical(p, 1.0, 3),
     "closed_form": lambda: analytic_n_first(np.linspace(0.0, 1.0, 3), p1),
 }}
@@ -55,22 +63,40 @@ def _probe(*routes):
 
 @pytest.fixture(scope="module")
 def stages():
-    # The closed form gets its own interpreter: after the Chebyshev route it
-    # would find scipy.special loaded already, and before it, it would hide
-    # that the Chebyshev route loads it.
-    return {**_probe("chebyshev", "mean_field"), "closed_form": _probe("closed_form")["closed_form"]}
+    # The routes that must not load scipy.linalg run before the eigh route,
+    # and the mean-field route last, since scipy.integrate loads it too.  The
+    # closed form gets its own interpreter: after the Chebyshev route it would
+    # find scipy.special loaded already, and before it, it would hide that the
+    # Chebyshev route loads it.
+    return {
+        **_probe("low_gain", "chebyshev", "eigh", "mean_field"),
+        "closed_form": _probe("closed_form")["closed_form"],
+    }
+
+
+def _loaded(flags):
+    return {name for name in DEFERRED if flags[name]}
 
 
 def test_import_loads_none_of_the_deferred_modules(stages):
+    # Nor any other scipy module: ``loaded`` flags that as "scipy".
     assert not any(stages["import"].values())
 
 
+def test_low_gain_propagation_loads_none_of_the_deferred_modules(stages):
+    assert _loaded(stages["low_gain"]) == set()
+
+
 def test_chebyshev_route_loads_scipy_special_only(stages):
-    assert stages["chebyshev"] == {"scipy.integrate": False, "scipy.special": True, "scipy.optimize": False}
+    assert _loaded(stages["chebyshev"]) == {"scipy.special"}
 
 
 def test_closed_form_loads_scipy_special_only(stages):
-    assert stages["closed_form"] == {"scipy.integrate": False, "scipy.special": True, "scipy.optimize": False}
+    assert _loaded(stages["closed_form"]) == {"scipy.special"}
+
+
+def test_eigh_route_loads_scipy_linalg(stages):
+    assert _loaded(stages["eigh"]) - _loaded(stages["chebyshev"]) == {"scipy.linalg"}
 
 
 def test_mean_field_route_loads_scipy_integrate(stages):
