@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -310,8 +311,9 @@ def run_sweep(
     frequency plus the first gain maximum.  High regime: evaluates the
     closed-form maxima and the exact vs shorthand interaction-length ratio
     (no propagation, so wide grids stay cheap).  Points run concurrently with
-    ``jobs`` > 1; rows are always emitted in grid order, so parallel output
-    is identical to serial output.
+    ``jobs`` > 1, on at most one thread per point and per CPU; rows are
+    always emitted in grid order, so parallel output is identical to serial
+    output.
     """
     if regime not in ("low", "high"):
         raise ScenarioError(f"regime must be 'low' or 'high', got {regime!r}")
@@ -346,8 +348,10 @@ def run_sweep(
                 return _sweep_point_low(*args, electrons, variant, end, samples)
             return _sweep_point_high(*args, electrons)
 
-    if jobs > 1 and grid:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    # More threads than points or CPUs would only wait on one another.
+    workers = min(jobs, len(grid), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(point, grid))
     else:
         rows = [point(g) for g in grid]

@@ -71,8 +71,10 @@ _GEMM_P = 192
 #: small-matrix kernel, which sums the whole inner dimension in one run.
 _GEMM_SMALL = 100**3
 
-#: One block of amplitudes from a route: (samples, Re c, Im c), c of shape (N+1, k).
-_Blocks = Iterator[tuple[slice, np.ndarray, np.ndarray]]
+#: One block of amplitudes from a route: (samples, Re c, Im c, scratch), c of
+#: shape (N+1, k) and scratch a flat float array of at least 3 (N+1) k elements
+#: that the observable step may overwrite.
+_Blocks = Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,28 @@ def _gemm_pieces(support: np.ndarray, n: int, width: int) -> list[tuple[int, int
     return pieces
 
 
+def _work_columns(support: np.ndarray, n: int, samples: int) -> slice | None:
+    """Eigenvector columns that can hold ``_eigh_blocks``' work arrays, or None.
+
+    The work arrays are the GEMM block and the piece buffer, 2 min(128,
+    samples) columns of n rows each, and three observable scratch arrays of
+    min(64, samples) columns.  The GEMM reads only the columns its pieces
+    cover, for the full block width and for the last block's, so the
+    columns left of the first piece or right of the last are free once the
+    support is known.  The left run is taken when it is wide enough, else
+    the right one; None when neither is.
+    """
+    need = 4 * min(128, samples) + 3 * min(64, samples)
+    widths = {2 * min(128, samples), 2 * (samples % 128 or 128)}
+    pieces = [piece for width in widths for piece in _gemm_pieces(support, n, width)]
+    lo, hi = min(p[0] for p in pieces), max(p[1] for p in pieces)
+    if lo >= need:
+        return slice(0, need)
+    if n - hi >= need:
+        return slice(hi, hi + need)
+    return None
+
+
 def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     """Amplitudes from one eigendecomposition, exact in ell, 64 samples per block.
 
@@ -205,14 +229,20 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     streams the eigenvector matrix where four (N+1, 64) products did.  That
     GEMM runs in the pieces ``_gemm_pieces`` cuts around the support, one
     per BLAS K-panel that holds support rows: the first piece is written to
-    one C-ordered block and each later one is added through one buffer,
-    both allocated once per call, so no block allocates a product (a
-    temporary per piece left more of the heap resident over repeated
-    calls).  The rows left out are exact zeros, so the sum equals the full
-    product bit for bit on OpenBLAS's SkylakeX kernel, and on any other BLAS
-    it is still exact up to summation order.  The result is handed out as
-    64-sample views of that block, the shapes the observable sums were
-    recorded with; the next block overwrites them.
+    one C-ordered block and each later one is added through one buffer, so
+    no block allocates a product.  The rows left out are exact zeros, so the
+    sum equals the full product bit for bit on OpenBLAS's SkylakeX kernel,
+    and on any other BLAS it is still exact up to summation order.  The
+    result is handed out as 64-sample views of that block, the shapes the
+    observable sums were recorded with; the next block overwrites them.
+
+    The block, the buffer and the observable scratch live in eigenvector
+    columns the GEMM never reads (``_work_columns``), which the F-ordered
+    matrix holds as one contiguous run, so the call allocates nothing of
+    size N+1 beyond the matrix itself.  Only when neither side of the
+    pieces has room (at N = 1000 with n0 = N/10, whose pieces come within
+    704 columns of both ends, or on a ladder narrower than the arrays) are
+    they allocated, once per call.
 
     The sizes keep every output bit: a GEMM 512 columns wide, observable
     sums over 128 samples, or a piece that moves a panel edge all change
@@ -225,7 +255,13 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     support = np.flatnonzero(v[0])
     w, u = w[support], v[0, support]
     n = v.shape[0]
-    out, buffer = np.empty((2, n * 2 * min(128, steps.size)))
+    block = n * 2 * min(128, steps.size)
+    columns = _work_columns(support, n, steps.size)
+    if columns is None:
+        work = np.empty(2 * block + 3 * n * min(64, steps.size))
+    else:
+        work = v[:, columns].ravel(order="F")
+    out, buffer, scratch = work[:block], work[block : 2 * block], work[2 * block :]
     for start in range(0, steps.size, 128):
         t = steps[start : start + 128]
         k = t.size
@@ -243,7 +279,7 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
                 c += piece
         for lo in range(0, k, 64):
             hi = min(lo + 64, k)
-            yield slice(start + lo, start + hi), c[:, lo:hi], c[:, k + lo : k + hi]
+            yield slice(start + lo, start + hi), c[:, lo:hi], c[:, k + lo : k + hi], scratch
 
 
 def _chebyshev_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
@@ -277,13 +313,45 @@ def _chebyshev_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Block
 
     psi = np.zeros(d.size, dtype=complex)
     psi[0] = 1.0
+    scratch = np.empty(3 * d.size)
     for i in range(1, steps.size):
         phi_prev, phi = psi, matvec(psi)
         psi = weights[0] * phi_prev + weights[1] * phi
         for weight in weights[2:]:
             phi_prev, phi = phi, 2.0 * matvec(phi) - phi_prev
             psi += weight * phi
-        yield slice(i, i + 1), psi.real[:, None], psi.imag[:, None]
+        yield slice(i, i + 1), psi.real[:, None], psi.imag[:, None], scratch
+
+
+def _block_observables(
+    cr: np.ndarray,
+    ci: np.ndarray,
+    scratch: np.ndarray,
+    mus: np.ndarray,
+    a: np.ndarray,
+    d: np.ndarray,
+    n0: float,
+    s: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """n, norm and energy of one amplitude block, plus its P[mu] (a view of ``scratch``).
+
+    Computes P = cr**2 + ci**2, sum P, n0 sum P + s sum mu P and
+    P.T @ d + 2 (cr[:-1] cr[1:] + ci[:-1] ci[1:]).T @ a with the same ufuncs
+    in the same order, but into three C-ordered (N+1, k) slices of the flat
+    ``scratch`` rather than fresh temporaries.  Each slice has the layout a
+    fresh temporary would have, so the axis-0 sums and the two GEMVs sum in
+    the same order and every output bit is kept.
+    """
+    rows, k = cr.shape
+    probs, tmp, pair = (scratch[i * rows * k : (i + 1) * rows * k].reshape(rows, k) for i in range(3))
+    np.square(cr, out=probs)
+    np.add(probs, np.square(ci, out=tmp), out=probs)
+    norm = probs.sum(axis=0)
+    n = n0 * norm + s * np.multiply(mus[:, None], probs, out=tmp).sum(axis=0)
+    np.multiply(cr[:-1], cr[1:], out=pair[:-1])
+    np.add(pair[:-1], np.multiply(ci[:-1], ci[1:], out=tmp[:-1]), out=pair[:-1])
+    energy = probs.T @ d + 2.0 * (pair[:-1].T @ a)
+    return n, norm, energy, probs
 
 
 def propagate_dicke(
@@ -320,12 +388,10 @@ def propagate_dicke(
 
     n_out, norm_out, energy_out = np.empty((3, sample_count))
     prob_out = np.empty((p.N + 1, sample_count)) if keep_probabilities else None
-    for sl, cr, ci in routes[method](d, a, steps):
-        probs = cr**2 + ci**2
-        norm_out[sl] = probs.sum(axis=0)
-        n_out[sl] = p.n0 * norm_out[sl] + s * (mus[:, None] * probs).sum(axis=0)
-        cross = (cr[:-1] * cr[1:] + ci[:-1] * ci[1:]).T @ a
-        energy_out[sl] = probs.T @ d + 2.0 * cross
+    for sl, cr, ci, scratch in routes[method](d, a, steps):
+        n_out[sl], norm_out[sl], energy_out[sl], probs = _block_observables(
+            cr, ci, scratch, mus, a, d, p.n0, s
+        )
         if prob_out is not None:
             prob_out[:, sl] = probs
     # The ell = 0 propagator is the identity; pin the seed row exactly, which

@@ -245,6 +245,41 @@ class TestSweepLow:
         assert cli.main(base + ["--jobs", "3", "--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_jobs_start_no_more_threads_than_points_or_cpus(self, tmp_path, monkeypatch):
+        # A stand-in pool records its size and maps serially, so no thread starts.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        out = tmp_path / "high.csv"
+        base = ["sweep", "--regime", "high", "--out", str(out)]
+        grid_of_12 = ["--alpha", "0.1,0.2,0.3", "--n0", "10,100"]
+        one_point = ["--alpha", "0.1", "--n0", "10", "--resonance", "1"]
+        for cpus, argv, rows, expected in [
+            (4, grid_of_12 + ["--jobs", "5000"], 12, [4]),
+            (64, grid_of_12 + ["--jobs", "5000"], 12, [12]),
+            (64, grid_of_12 + ["--jobs", "3"], 12, [3]),
+            (None, grid_of_12 + ["--jobs", "5000"], 12, []),
+            (4, one_point + ["--jobs", "5000"], 1, []),
+        ]:
+            sizes.clear()
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            assert cli.main(base + argv) == 0
+            assert sizes == expected, (cpus, argv)
+            assert len(out.read_text(encoding="ascii").splitlines()) == 2 + rows
+
     def test_empty_grid_writes_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
         assert cli.main(["sweep", "--alpha", "", "--out", str(out)]) == 0

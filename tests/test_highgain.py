@@ -1,7 +1,11 @@
 """Collective emission: tridiagonal dynamics, closed forms, length formulas."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import expm_populations
 from qfel import highgain
@@ -230,6 +234,99 @@ class TestPanelRange:
                 for first, last in pieces[1:]:
                     c += v[:, first:last] @ b[first:last]
                 assert np.array_equal(c, v @ b), (n, width, pieces)
+
+
+def _work_size(samples):
+    """Columns of n rows the eigh route works in: block and buffer, three scratch arrays."""
+    return 2 * 2 * min(128, samples) + 3 * min(64, samples)
+
+
+class TestWorkColumns:
+    # ``_eigh_blocks`` keeps its work arrays in eigenvector columns that no
+    # GEMM piece reads; ``_work_columns`` picks them.
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_never_overlaps_a_gemm_piece_and_falls_back_only_without_room(self, data):
+        n = data.draw(st.integers(2, 12_001), label="n")
+        lo = data.draw(st.integers(0, n - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, n), label="hi")
+        support = np.arange(lo, hi)
+        if data.draw(st.booleans(), label="gapped"):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="gaps"))
+            support = np.union1d(support[rng.random(support.size) < 0.3], [lo, hi - 1])
+        samples = data.draw(st.integers(2, 3000), label="samples")
+        # Every block is 2 * 128 wide but the last, 2 * (samples mod 128) wide.
+        widths = {2 * len(range(start, min(start + 128, samples))) for start in range(0, samples, 128)}
+        pieces = [piece for width in widths for piece in highgain._gemm_pieces(support, n, width)]
+        columns = highgain._work_columns(support, n, samples)
+        need = _work_size(samples)
+        room = min(p[0] for p in pieces) >= need or n - max(p[1] for p in pieces) >= need
+        assert (columns is None) == (not room)
+        if columns is not None:
+            assert 0 <= columns.start and columns.stop - columns.start == need and columns.stop <= n
+            for first, last in pieces:
+                assert columns.stop <= first or last <= columns.start, (columns, first, last)
+
+    def test_known_cases(self):
+        # N = 2000 dicke_only at 2001 samples: rows 931-1069, room on the left.
+        assert highgain._work_columns(np.arange(931, 1070), 2001, 2001) == slice(0, 704)
+        # Exactly 704 free columns on the left suffice; the right has 632.
+        assert highgain._work_columns(np.arange(704, 768), 1400, 2001) == slice(0, 704)
+        # A support near the start leaves room on the right.
+        assert highgain._work_columns(np.arange(0, 310), 3001, 2001) == slice(310, 1014)
+        # N = 1000 first_order reaches both ends; a short ladder has no room.
+        assert highgain._work_columns(np.arange(0, 1001), 1001, 2001) is None
+        assert highgain._work_columns(np.arange(5, 10), 17, 11) is None
+
+    def test_eigh_route_allocates_nothing_beyond_the_eigenvectors(self, monkeypatch):
+        # N = 2000 dicke_only keeps 139 of 2001 eigenvectors, so the block,
+        # buffer and observable scratch fit in the columns the GEMM never reads.
+        model = HighGainModel(params=_params(2, alpha=0.25, n0=200.0, N=2000), variant="dicke_only")
+        original = highgain.eigh_tridiagonal
+        original(np.zeros(2), np.ones(1), lapack_driver="stemr")  # import scipy.linalg untraced
+        returned = []
+
+        def recording(*args, **kwargs):
+            w, v = original(*args, **kwargs)
+            returned.append(v.nbytes)
+            return w, v
+
+        monkeypatch.setattr(highgain, "eigh_tridiagonal", recording)
+        tracemalloc.start()
+        try:
+            propagate_dicke(model, 45.0, 2001, method="eigh")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= returned[0] + 2 * 2**20, (peak, returned)
+
+    @pytest.mark.parametrize("k", [64, 17, 81])
+    def test_in_place_observables_equal_the_plain_expressions_bit_for_bit(self, k):
+        # k = 17 and 81 are the last GEMM blocks of 401 and 2001 samples; the
+        # views have the block's row stride 2k, and the scratch starts at an
+        # odd column of an odd-height F-ordered matrix, as in the eigenvectors.
+        rng = np.random.default_rng(k)
+        n, n0, s = 1001, 100.0, 2
+        c = rng.standard_normal((n, 2 * k)) / np.sqrt(n)
+        a, d = rng.standard_normal(n - 1), rng.standard_normal(n)
+        mus = np.arange(n, dtype=float)
+        host = np.zeros((n, 1 + 3 * 64), order="F")
+        scratch = host[:, 1:].ravel(order="F")
+        assert np.shares_memory(scratch, host)
+        for lo in range(0, k, 64):
+            cr, ci = c[:, lo : min(lo + 64, k)], c[:, k + lo : k + min(lo + 64, k)]
+            probs = cr**2 + ci**2
+            norm = probs.sum(axis=0)
+            expected = {
+                "n": n0 * norm + s * (mus[:, None] * probs).sum(axis=0),
+                "norm": norm,
+                "energy": probs.T @ d + 2.0 * (cr[:-1] * cr[1:] + ci[:-1] * ci[1:]).T @ a,
+                "P": probs,
+            }
+            got = dict(zip(expected, highgain._block_observables(cr, ci, scratch, mus, a, d, n0, s)))
+            for name, ref in expected.items():
+                assert got[name].tobytes() == ref.tobytes(), (k, lo, name)
 
 
 class TestPropagation:
