@@ -236,11 +236,6 @@ class TestPanelRange:
                 assert np.array_equal(c, v @ b), (n, width, pieces)
 
 
-def _work_size(samples):
-    """Columns of n rows the eigh route works in: block and buffer, three scratch arrays."""
-    return 2 * 2 * min(128, samples) + 3 * min(64, samples)
-
-
 class TestWorkColumns:
     # ``_eigh_blocks`` keeps its work arrays in eigenvector columns that no
     # GEMM piece reads; ``_work_columns`` picks them.
@@ -260,7 +255,8 @@ class TestWorkColumns:
         widths = {2 * len(range(start, min(start + 128, samples))) for start in range(0, samples, 128)}
         pieces = [piece for width in widths for piece in highgain._gemm_pieces(support, n, width)]
         columns = highgain._work_columns(support, n, samples)
-        need = _work_size(samples)
+        # Columns of n rows: the block and the buffer, then three scratch arrays.
+        need = 2 * 2 * min(128, samples) + 3 * min(64, samples)
         room = min(p[0] for p in pieces) >= need or n - max(p[1] for p in pieces) >= need
         assert (columns is None) == (not room)
         if columns is not None:
