@@ -20,6 +20,7 @@ error, 2 usage/configuration error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -393,15 +394,6 @@ def _parse_list(convert: Callable[[str], object]) -> Callable[[str], tuple]:
     return lambda text: tuple(convert(part) for part in text.split(",") if part != "")
 
 
-def _parse_choice(*choices: str) -> Callable[[str], str]:
-    def convert(text: str) -> str:
-        if text not in choices:
-            raise ScenarioError(f"expected one of {', '.join(choices)}; got {text!r}")
-        return text
-
-    return convert
-
-
 #: Every flag's converter and help text; ``sweep`` reads ``alpha`` and ``n0`` as comma lists.
 _FLAGS: dict[str, tuple[Callable[[str], object], str]] = {
     "alpha": (_parse_float, "quantum parameter (comma list for sweep)"),
@@ -412,31 +404,24 @@ _FLAGS: dict[str, tuple[Callable[[str], object], str]] = {
     "end": (_parse_float, "span of the x axis (Omega*t for fig2, tau for the low-gain sweep, L/L_g otherwise)"),
     "samples": (_parse_int, "number of output samples"),
     "out": (str, "output CSV path"),
-    "panel": (_parse_choice("top", "bottom"), "which figure panel: top or bottom"),
-    "regime": (_parse_choice("low", "high"), "low (ladder) or high (collective closed forms)"),
+    "panel": (str, "which figure panel: top or bottom"),
+    "regime": (str, "low (ladder) or high (collective closed forms)"),
     "jobs": (_parse_int, "concurrent grid points"),
 }
 
-#: Each subcommand's help text and flags, in help order; ``run_<name>`` runs it.
-_COMMANDS: dict[str, tuple[str, tuple[str, ...]]] = {
-    "fig2": (
-        "gain of the three lowest resonances vs Rabi phase (closed form + numeric)",
-        ("alpha", "end", "samples", "out"),
-    ),
-    "fig3": (
-        "collective photon growth vs closed forms, one resonance per panel",
-        ("panel", "alpha", "n0", "electrons", "end", "samples", "out"),
-    ),
-    "fig4": (
-        "closed-form photon growth of both resonances on one axis",
-        ("alpha", "n0", "electrons", "end", "samples", "out"),
-    ),
-    "validate": ("run all cross-route checks and report pass/fail per line", ()),
-    "sweep": (
-        "grid campaign over alpha, n0, resonance; one CSV row per point",
-        ("regime", "alpha", "n0", "resonance", "electrons", "variant", "end", "samples", "jobs", "out"),
-    ),
+#: Each subcommand's help text; ``run_<name>`` runs it, and its parameters are the flags, in help order.
+_COMMANDS: dict[str, str] = {
+    "fig2": "gain of the three lowest resonances vs Rabi phase (closed form + numeric)",
+    "fig3": "collective photon growth vs closed forms, one resonance per panel",
+    "fig4": "closed-form photon growth of both resonances on one axis",
+    "validate": "run all cross-route checks and report pass/fail per line",
+    "sweep": "grid campaign over alpha, n0, resonance; one CSV row per point",
 }
+
+
+def _runner(command: str) -> Callable:
+    """``run_<command>``, looked up at call time so that a rebound module global is honoured."""
+    return globals()[f"run_{command}"]
 
 
 def _read_scenario_file(path: str) -> dict[str, str]:
@@ -458,7 +443,7 @@ def _read_scenario_file(path: str) -> dict[str, str]:
 
 def _resolve_options(args: argparse.Namespace) -> dict[str, object]:
     """Merge scenario-file values under flag values and convert both."""
-    kinds = {key: _FLAGS[key][0] for key in _COMMANDS[args.command][1]}
+    kinds = {key: _FLAGS[key][0] for key in inspect.signature(_runner(args.command)).parameters}
     if args.command == "sweep":
         kinds.update(alpha=_parse_list(_parse_float), n0=_parse_list(_parse_float))
     raw: dict[str, str] = {}
@@ -483,10 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum-regime free-electron-laser dynamics: figure data, validation, sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _COMMANDS.items():
+    for name, help_text in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="scenario file of key=value lines; flags win")
-        for key in flags:
+        for key in inspect.signature(_runner(name)).parameters:
             p.add_argument(f"--{key}", help=_FLAGS[key][1])
     return parser
 
@@ -507,9 +492,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         opts = _resolve_options(args)
         if args.command != "validate":
             # A value that overflows or turns NaN raises instead of reaching the CSV.
-            # The runner is looked up now, so a rebound module global is honoured.
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                path = globals()[f"run_{args.command}"](**opts)
+                path = _runner(args.command)(**opts)
     except ValueError as err:  # a ScenarioError, or a domain check of the library
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -478,15 +478,13 @@ def integrate_semiclassical(
     alpha, N = params.alpha, params.N
 
     def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
-        a = y[0] + 1j * y[1]
-        b0 = y[2] + 1j * y[3]
-        b2 = y[4] + 1j * y[5]
+        a, b0, b2 = y
         da = -1j * (alpha / N) * np.conj(a) * b0 * np.conj(b2)
         db0 = -1j * (alpha / (2.0 * N)) * a * a * b2
         db2 = -1j * (alpha / (2.0 * N)) * np.conj(a) * np.conj(a) * b0
-        return np.array([da.real, da.imag, db0.real, db0.imag, db2.real, db2.imag])
+        return np.array([da, db0, db2])
 
-    y0 = np.array([np.sqrt(params.n0), 0.0, np.sqrt(N), 0.0, 0.0, 0.0])
+    y0 = np.array([np.sqrt(params.n0), np.sqrt(N), 0.0], dtype=complex)
     # scipy.integrate takes longer to import than the rest of the package
     # together, and this is its only use.
     from scipy.integrate import solve_ivp
@@ -502,9 +500,7 @@ def integrate_semiclassical(
     )
     if not sol.success:
         raise RuntimeError(f"mean-field integration failed: {sol.message}")
-    a = sol.y[0] + 1j * sol.y[1]
-    b0 = sol.y[2] + 1j * sol.y[3]
-    b2 = sol.y[4] + 1j * sol.y[5]
+    a, b0, b2 = sol.y
     n = np.abs(a) ** 2
     n_elec0 = np.abs(b0) ** 2
     n_elec2 = np.abs(b2) ** 2
@@ -515,7 +511,7 @@ def integrate_semiclassical(
             f"min N0 = {np.min(n_elec0):.3e}, min N2 = {np.min(n_elec2):.3e}, "
             f"max N0+N2 = {np.max(n_elec0 + n_elec2):.6e} vs N = {N}"
         )
-    ndot = 2.0 * np.real(np.conj(a) * (-1j * (alpha / N) * np.conj(a) * b0 * np.conj(b2)))
+    ndot = 2.0 * np.real(np.conj(a) * rhs(0.0, sol.y)[0])
     return Trace(
         axis_label="L_over_Lg",
         x=ells,

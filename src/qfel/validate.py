@@ -329,17 +329,21 @@ def check_dense_oracle_equivalence(ctx: ValidationContext) -> CheckResult:
     ))
 
 
+def _drifts(trace: Trace, relative: bool = False) -> tuple[float, float]:
+    """A trace's max |norm - 1| and max |E - E(0)|, the latter over max(1, max |E|) if ``relative``."""
+    e = trace.column("energy")
+    scale = max(1.0, float(np.max(np.abs(e)))) if relative else 1.0
+    return float(np.max(np.abs(trace.column("norm") - 1.0))), float(np.max(np.abs(e - e[0]))) / scale
+
+
 def check_conservation_suite(ctx: ValidationContext) -> CheckResult:
     """Norm, energy, truncation convergence, and mirror antisymmetry."""
-    norm_drift = 0.0
-    energy_drift = 0.0
+    drifts: list[tuple[float, float]] = []
     trunc_dev = 0.0
     mirror_dev = 0.0
     for nu in (1, 2, 3):
         base = ctx.low_full_trace(nu)
-        norm_drift = max(norm_drift, float(np.max(np.abs(base.column("norm") - 1.0))))
-        e = base.column("energy")
-        energy_drift = max(energy_drift, float(np.max(np.abs(e - e[0]))))
+        drifts.append(_drifts(base))
 
         wide = ctx.low_full_trace(nu, m_scale=2)
         trunc_dev = max(
@@ -355,17 +359,11 @@ def check_conservation_suite(ctx: ValidationContext) -> CheckResult:
 
         params = _low_params(nu)
         eff = LowGainModel(params=params, variant="effective")
-        trace = propagate(eff, LadderState.initial(params), 60.0, 601)
-        norm_drift = max(norm_drift, float(np.max(np.abs(trace.column("norm") - 1.0))))
-        e = trace.column("energy")
-        energy_drift = max(energy_drift, float(np.max(np.abs(e - e[0]))))
+        drifts.append(_drifts(propagate(eff, LadderState.initial(params), 60.0, 601)))
 
     for nu, variant, alpha in ((1, "third_order", 0.5), (2, "dicke_only", 0.25), (2, "full_second_order", 0.25)):
-        trace = ctx.collective_trace(nu, variant, alpha)
-        norm_drift = max(norm_drift, float(np.max(np.abs(trace.column("norm") - 1.0))))
-        e = trace.column("energy")
-        scale = max(1.0, float(np.max(np.abs(e))))
-        energy_drift = max(energy_drift, float(np.max(np.abs(e - e[0]))) / scale)
+        drifts.append(_drifts(ctx.collective_trace(nu, variant, alpha), relative=True))
+    norm_drift, energy_drift = (max(0.0, *column) for column in zip(*drifts))
 
     return CheckResult("conservation suite", (
         Gate("norm drift", norm_drift, 1e-8),

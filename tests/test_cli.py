@@ -1,6 +1,7 @@
 """Command-line interface: CSV contracts, determinism, exit codes."""
 
 import contextlib
+import inspect
 import io
 import math
 import re
@@ -171,6 +172,14 @@ class TestRunnerDefaults:
         getattr(cli, f"run_{argv[0]}")(**kwargs, out=tmp_path / "api.csv")
         assert (tmp_path / "api.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
         capsys.readouterr()
+
+
+def test_flag_table_names_exactly_the_runner_parameters():
+    # Each command's flags are its runner's parameters; ``_FLAGS`` converts
+    # and documents them, so an entry no runner takes, or a parameter with no
+    # entry, is a fault the parser alone would not show.
+    parameters = {key for name in cli._COMMANDS for key in inspect.signature(getattr(cli, f"run_{name}")).parameters}
+    assert parameters == set(cli._FLAGS)
 
 
 class TestSweepLow:
@@ -444,6 +453,8 @@ class TestExitCodes:
             # Values below one start no threads; large values are left untested.
             (["sweep", "--regime", "high", "--jobs", "0"], "jobs must be at least 1, got 0"),
             (["sweep", "--regime", "high", "--jobs", "-3"], "jobs must be at least 1, got -3"),
+            (["fig3", "--panel", "sideways"], "panel must be 'top' or 'bottom', got 'sideways'"),
+            (["sweep", "--regime", "sideways"], "regime must be 'low' or 'high', got 'sideways'"),
         ],
     )
     def test_bad_parameter_is_a_one_line_usage_error(self, argv, message, tmp_path, capsys):

@@ -104,6 +104,18 @@ def test_mean_field_route_loads_scipy_integrate(stages):
     assert stages["mean_field"]["scipy.optimize"]
 
 
+def test_package_exports_each_modules_public_names_once():
+    # ``qfel.__all__`` is built from the modules' own lists: every name they
+    # declare public, and only those, resolves on the package to its object.
+    modules = (qfel.core, qfel.specfun, qfel.lowgain, qfel.highgain)
+    declared = ["__version__", *(name for module in modules for name in module.__all__)]
+    assert len(set(declared)) == len(declared)
+    assert sorted(qfel.__all__) == sorted(declared)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(qfel, name) is getattr(module, name), name
+
+
 def _bench_module(name):
     """Load ``perfbench/<name>.py`` by path; perfbench is not a package."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
