@@ -199,7 +199,6 @@ def sample_axis(end: float, samples: int) -> np.ndarray:
 class Trace:
     """Sampled observable series: one abscissa, named columns of equal length."""
 
-    axis_label: str
     x: np.ndarray
     columns: Dict[str, np.ndarray]
 

@@ -405,7 +405,7 @@ def propagate_dicke(
         prob_out[0, 0] = 1.0
         for mu in range(p.N + 1):
             columns[f"P[{mu}]"] = prob_out[mu]
-    return Trace(axis_label="L_over_Lg", x=steps, columns=columns)
+    return Trace(x=steps, columns=columns)
 
 
 def analytic_n_first(
@@ -513,7 +513,6 @@ def integrate_semiclassical(
         )
     ndot = 2.0 * np.real(np.conj(a) * rhs(0.0, sol.y)[0])
     return Trace(
-        axis_label="L_over_Lg",
         x=ells,
         columns={
             "n": n,

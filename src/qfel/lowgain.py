@@ -143,46 +143,36 @@ def build_effective_hamiltonian(params: FelParams) -> BandedHermitianOperator:
         d, lo = abs(j - i), min(i, j)
         bands.setdefault(d, np.zeros(size - d))[lo + m] += val
 
-    mus = range(-m, m + 1)
-    if nu == 1:
-        add(0, 1, alpha)
+    if nu in (1, 3):
+        # The kinetic energies (3/2 - mu)^2 of nu = 3 are those of nu = 1 at
+        # mu - 1, so the nu = 3 table is the nu = 1 table one level up.
+        s = (nu - 1) // 2
+        add(s, 1 + s, alpha)
         if order >= 2:
-            add(0, 0, -0.5 * alpha**2)
-            add(1, 1, -0.5 * alpha**2)
-            for mu in mus:
+            add(s, s, -0.5 * alpha**2)
+            add(1 + s, 1 + s, -0.5 * alpha**2)
+            for mu in range(-m - s, m - s + 1):
                 if mu not in (0, 1):
-                    add(mu, mu, alpha**2 / (2.0 * mu * (mu - 1)))
+                    add(mu + s, mu + s, alpha**2 / (2.0 * mu * (mu - 1)))
         if order >= 3:
-            add(0, 1, -0.25 * alpha**3)
-            add(-1, 2, 0.25 * alpha**3)
+            add(s, 1 + s, -0.25 * alpha**3)
+            add(s - 1, 2 + s, 0.25 * alpha**3)
     elif nu == 2:
         add(0, 2, alpha**2)
-        for mu in mus:
+        for mu in range(-m, m + 1):
             add(mu, mu, 2.0 * alpha**2 / ((2 * mu - 3) * (2 * mu - 1)))
         if order >= 4:
             add(0, 2, -(16.0 / 9.0) * alpha**4)
             add(-1, 3, alpha**4 / 36.0)
-            for mu in mus:
-                if abs(mu + 1) <= m:
-                    half = mu - 0.5
-                    shift = alpha**4 / (8.0 * half**3 * (half**2 - 1.0) ** 2)
-                    add(mu + 1, mu + 1, -shift)
-                    add(mu, mu, shift)
-                if mu != 0 and abs(mu + 1) <= m:
+            for mu in range(-m, m):  # each pair (mu, mu + 1) inside the ladder
+                half = mu - 0.5
+                shift = alpha**4 / (8.0 * half**3 * (half**2 - 1.0) ** 2)
+                add(mu + 1, mu + 1, -shift)
+                add(mu, mu, shift)
+                if mu != 0:
                     pair = alpha**4 / (64.0 * mu * (mu**2 - 0.25) ** 2)
                     add(mu + 1, mu + 1, pair)
                     add(mu, mu, pair)
-    elif nu == 3:
-        add(1, 2, alpha)
-        if order >= 2:
-            add(1, 1, -0.5 * alpha**2)
-            add(2, 2, -0.5 * alpha**2)
-            for mu in mus:
-                if mu not in (1, 2):
-                    add(mu, mu, alpha**2 / (2.0 * (mu - 1) * (mu - 2)))
-        if order >= 3:
-            add(1, 2, -0.25 * alpha**3)
-            add(0, 3, 0.25 * alpha**3)
     return BandedHermitianOperator(size=size, bands=bands)
 
 
@@ -230,62 +220,48 @@ def propagate(
     columns["dn_per_N"] = dn
     columns["norm"] = probs.sum(axis=0)
     columns["energy"] = np.einsum("is,ij,js->s", psi.conj(), h, psi).real
-    return Trace(axis_label="tau", x=taus, columns=columns)
-
-
-def _first_resonance_bracket(alpha: float) -> float:
-    """The bracket 1 - alpha^2 / 4 of the first resonance, refused once it is <= 0."""
-    return _positive_bracket(
-        1.0 - alpha**2 / 4.0, "first-resonance frequency breaks down: alpha^2 / 4 >= 1"
-    )
-
-
-def _second_resonance_bracket(alpha: float) -> float:
-    """The bracket 1 - 16 alpha^2 / 9 of the second resonance, refused once it is <= 0."""
-    return _positive_bracket(
-        1.0 - 16.0 * alpha**2 / 9.0, "second-resonance frequency breaks down: 16 alpha^2 / 9 >= 1"
-    )
+    return Trace(x=taus, columns=columns)
 
 
 def gain_frequency(nu: int, alpha: float) -> float:
-    """Envelope frequency of dn/N in tau implied by the closed-form gains.
+    """Envelope frequency Omega_nu of dn/N in tau: the one home of each resonance's rate.
 
     The first maximum of the gain sits at tau = pi / (2 * gain_frequency);
     scaling with resonance order follows alpha**nu up to the bracketed
-    corrections of ``analytic_dn``.  The first- and second-resonance
-    brackets are perturbative in alpha; once alpha^2 / 4 >= 1 or
-    16 alpha^2 / 9 >= 1 a bracket stops being positive and the expansion has
-    left its domain of validity, which is rejected rather than returned as a
-    zero or negative frequency.
+    corrections, and ``analytic_dn`` reads its rate from here.  The first-
+    and second-resonance brackets 1 - alpha^2 / 4 and 1 - 16 alpha^2 / 9 are
+    perturbative in alpha; once alpha^2 / 4 >= 1 or 16 alpha^2 / 9 >= 1 a
+    bracket stops being positive and the expansion has left its domain of
+    validity, which is rejected rather than returned as a zero or negative
+    frequency.
     """
     if nu == 1:
-        return alpha * _first_resonance_bracket(alpha)
+        return alpha * _positive_bracket(
+            1.0 - alpha**2 / 4.0, "first-resonance frequency breaks down: alpha^2 / 4 >= 1"
+        )
     if nu == 2:
-        return alpha**2 * _second_resonance_bracket(alpha)
+        return alpha**2 * _positive_bracket(
+            1.0 - 16.0 * alpha**2 / 9.0, "second-resonance frequency breaks down: 16 alpha^2 / 9 >= 1"
+        )
     if nu == 3:
         return alpha**3 / 4.0
     raise ValueError(f"closed forms cover nu in {{1, 2, 3}}, got {nu}")
 
 
 def analytic_dn(nu: int, alpha: float, phase: np.ndarray | float) -> np.ndarray | float:
-    """Closed-form per-electron gain dn/N versus Rabi phase Omega*t.
+    """Closed-form per-electron gain dn/N = nu sin^2(Omega_nu tau) versus Rabi phase Omega*t.
+
+    Omega_nu is ``gain_frequency(nu, alpha)`` and tau = phase / alpha:
 
     nu = 1: sin^2[Omega*t (1 - alpha^2/4)]            (amplitude 1)
     nu = 2: 2 sin^2[alpha Omega*t (1 - 16 alpha^2/9)] (amplitude 2)
     nu = 3: 3 sin^2[(alpha^2/4) Omega*t]              (amplitude 3)
 
-    The nu = 1 and nu = 2 brackets are refused once they are <= 0, as in
-    ``gain_frequency``.
+    The nu = 1 and nu = 2 brackets are refused once they are <= 0, and any
+    other nu is refused, by ``gain_frequency``.
     """
     phase = np.asarray(phase, dtype=float)
-    if nu == 1:
-        out = np.sin(phase * _first_resonance_bracket(alpha)) ** 2
-    elif nu == 2:
-        out = 2.0 * np.sin(alpha * phase * _second_resonance_bracket(alpha)) ** 2
-    elif nu == 3:
-        out = 3.0 * np.sin((alpha**2 / 4.0) * phase) ** 2
-    else:
-        raise ValueError(f"closed forms cover nu in {{1, 2, 3}}, got {nu}; use propagate")
+    out = nu * np.sin(phase * (gain_frequency(nu, alpha) / alpha)) ** 2
     return float(out) if np.ndim(phase) == 0 else out
 
 

@@ -392,7 +392,7 @@ def shared_context() -> ValidationContext:
     return ValidationContext()
 
 
-def run_all(ctx: ValidationContext | None = None) -> list[CheckResult]:
-    """Execute every validation check in order and return the results."""
-    ctx = ctx or shared_context()
+def run_all() -> list[CheckResult]:
+    """Execute every validation check in order on the shared context and return the results."""
+    ctx = shared_context()
     return [check(ctx) for check in CHECKS]

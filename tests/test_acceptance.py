@@ -25,13 +25,12 @@ from qfel.validate import (
     SHORTHAND_SEED_RATIOS,
     populations_pointwise_deviation,
     run_all,
-    shared_context,
 )
 
 
 @pytest.fixture(scope="module")
 def verdicts():
-    results = {r.name: r for r in run_all(shared_context())}
+    results = {r.name: r for r in run_all()}
     return results
 
 

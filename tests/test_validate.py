@@ -58,7 +58,7 @@ class _Peaks:
     def collective_trace(self, nu, variant, alpha):
         height, position = self.peaks[variant]
         x = np.linspace(0.0, 45.0, 451)
-        return Trace(axis_label="L_over_Lg", x=x, columns={"n": height - np.abs(x - position)})
+        return Trace(x=x, columns={"n": height - np.abs(x - position)})
 
 
 @pytest.mark.parametrize(
