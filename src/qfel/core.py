@@ -201,6 +201,7 @@ class Trace:
 
     x: np.ndarray
     columns: Dict[str, np.ndarray]
+    levels: np.ndarray | None = None  # populations: one row per level in ladder order, one column per sample
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
@@ -213,6 +214,8 @@ class Trace:
             if col.shape != self.x.shape:
                 raise ValueError(f"column {name!r} length differs from abscissa")
             self.columns[name] = col
+        if self.levels is not None and self.levels.shape[1:] != self.x.shape:
+            raise ValueError("levels must hold one column per sample")
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]

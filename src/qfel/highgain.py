@@ -55,9 +55,10 @@ VARIANTS: Dict[int, tuple[str, ...]] = {
     2: ("dicke_only", "full_second_order"),
 }
 
-#: Largest electron count for which the eigendecomposition route is the
-#: default; beyond this the Chebyshev propagator takes over.
-EIGH_LIMIT = 20_000
+#: Bytes of the (N+1)^2 eigenvector matrix up to which ``"auto"`` takes the
+#: eigendecomposition route (N <= 11584); beyond it Chebyshev takes over.  A
+#: constant, not the host's free memory, so every machine takes the same route.
+EIGH_BYTES = 2**30
 
 #: K-panel depth of OpenBLAS's double GEMM on its SkylakeX target
 #: (DGEMM_DEFAULT_Q in OpenBLAS's param.h), the kernel NumPy's bundled
@@ -100,8 +101,8 @@ class HighGainModel:
         return 2 if self.params.nu == 2 else 1
 
 
-def _coefficient_arrays(model: HighGainModel) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (a(1..N), d(0..N)) for the tridiagonal build."""
+def build_dicke_tridiagonal(model: HighGainModel) -> BandedHermitianOperator:
+    """(N+1) x (N+1) real symmetric tridiagonal operator: d(0..N) as band 0, a(1..N) as band 1."""
     p = model.params
     alpha, n0, N = p.alpha, p.n0, p.N
     mu_a = np.arange(1, N + 1, dtype=float)
@@ -127,13 +128,7 @@ def _coefficient_arrays(model: HighGainModel) -> tuple[np.ndarray, np.ndarray]:
             d = np.zeros(N + 1)
         else:
             d = -(alpha / 4.0) * (n0 + mu_d * (1.0 + 1.0 / N))
-    return a, d
-
-
-def build_dicke_tridiagonal(model: HighGainModel) -> BandedHermitianOperator:
-    """(N+1) x (N+1) real symmetric tridiagonal operator in banded storage."""
-    a, d = _coefficient_arrays(model)
-    return BandedHermitianOperator(size=model.params.N + 1, bands={0: d, 1: a})
+    return BandedHermitianOperator(size=N + 1, bands={0: d, 1: a})
 
 
 def jv(order, z):
@@ -333,7 +328,7 @@ def _block_observables(
     n0: float,
     s: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """n, norm and energy of one amplitude block, plus its P[mu] (a view of ``scratch``).
+    """n, norm and energy of one amplitude block, plus its level populations (a view of ``scratch``).
 
     Computes P = cr**2 + ci**2, sum P, n0 sum P + s sum mu P and
     P.T @ d + 2 (cr[:-1] cr[1:] + ci[:-1] ci[1:]).T @ a with the same ufuncs
@@ -364,24 +359,26 @@ def propagate_dicke(
     """Photon number n(ell) from the seeded Fock state, with conservation audit.
 
     Methods: ``"eigh"`` diagonalizes the tridiagonal once and is exact in
-    ell (default up to N = 20000); ``"chebyshev"`` is a polynomial series with
-    O(N) memory, set up once per call.  Each only supplies amplitudes, and one
-    loop turns them into the observables.  Both must conserve norm and energy
-    to 1e-8 over figure-length runs — that is the gate, not the method.
+    ell (default while its eigenvectors fit in ``EIGH_BYTES``, up to
+    N = 11584); ``"chebyshev"`` is a polynomial series with O(N) memory, set
+    up once per call.  Each only supplies amplitudes, and one loop turns them
+    into the observables.  Both must conserve norm and energy to 1e-8 over
+    figure-length runs — that is the gate, not the method.
 
     Returns a Trace over ell = L/L_g with columns ``n``, ``norm``, ``energy``.
-    With ``keep_probabilities`` every level probability is stored as a
-    ``P[mu]`` column as well; that grows as (N+1) x sample_count, so it is
-    meant for small systems (oracle cross-checks), not figure-scale runs.
+    With ``keep_probabilities`` the trace's ``levels`` holds the population of
+    every level, rows mu = 0 ... N; that grows as (N+1) x sample_count, so it
+    is meant for small systems (oracle cross-checks), not figure-scale runs.
     """
     p = model.params
     steps = sample_axis(ell_end, sample_count)
-    a, d = _coefficient_arrays(model)
+    bands = build_dicke_tridiagonal(model).bands
+    d, a = bands[0], bands[1]
     s = model.photon_step
     mus = np.arange(p.N + 1, dtype=float)
 
     if method == "auto":
-        method = "eigh" if p.N <= EIGH_LIMIT else "chebyshev"
+        method = "eigh" if 8 * (p.N + 1) ** 2 <= EIGH_BYTES else "chebyshev"
     routes = {"eigh": _eigh_blocks, "chebyshev": _chebyshev_blocks}
     if method not in routes:
         raise ValueError(f"unknown method {method!r}")
@@ -403,9 +400,7 @@ def propagate_dicke(
     if prob_out is not None:
         prob_out[:, 0] = 0.0
         prob_out[0, 0] = 1.0
-        for mu in range(p.N + 1):
-            columns[f"P[{mu}]"] = prob_out[mu]
-    return Trace(x=steps, columns=columns)
+    return Trace(x=steps, columns=columns, levels=prob_out)
 
 
 def analytic_n_first(

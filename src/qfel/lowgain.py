@@ -191,8 +191,8 @@ def propagate(
     recorded so conservation can be audited; levels within the edge buffer
     are excluded from the reported populations and from dn.
 
-    Returns a Trace over tau with columns ``P[mu]`` for each interior level,
-    ``dn_per_N``, ``norm``, and ``energy``.
+    Returns a Trace over tau with columns ``dn_per_N``, ``norm``, ``energy``,
+    and ``levels`` rows mu = -(M - EDGE_BUFFER) ... M - EDGE_BUFFER.
     """
     params = model.params
     if model.variant == "full_hamiltonian":
@@ -213,14 +213,12 @@ def propagate(
     m = params.ladder_halfwidth
     mus = np.arange(-m, m + 1)
     interior = np.abs(mus) <= m - EDGE_BUFFER
-    columns: Dict[str, np.ndarray] = {}
-    for mu, row in zip(mus[interior], probs[interior]):
-        columns[f"P[{mu}]"] = row
-    dn = (mus[interior, None] * probs[interior]).sum(axis=0)
-    columns["dn_per_N"] = dn
-    columns["norm"] = probs.sum(axis=0)
-    columns["energy"] = np.einsum("is,ij,js->s", psi.conj(), h, psi).real
-    return Trace(x=taus, columns=columns)
+    columns = {
+        "dn_per_N": (mus[interior, None] * probs[interior]).sum(axis=0),
+        "norm": probs.sum(axis=0),
+        "energy": np.einsum("is,ij,js->s", psi.conj(), h, psi).real,
+    }
+    return Trace(x=taus, columns=columns, levels=probs[interior])
 
 
 def gain_frequency(nu: int, alpha: float) -> float:

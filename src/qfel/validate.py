@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FelParams, LadderState, Trace, first_maximum
+from .core import EDGE_BUFFER, FelParams, LadderState, Trace, first_maximum
 from .highgain import (
     HighGainModel,
     analytic_n_first,
@@ -153,11 +153,8 @@ def populations_pointwise_deviation(alpha: float) -> float:
     model = LowGainModel(params=params, variant="full_hamiltonian")
     trace = propagate(model, LadderState.initial(params), np.pi / gain_frequency(2, alpha), 3001)
     pops = analytic_populations_second(alpha, trace.x)
-    worst = 0.0
-    for k, analytic in pops.items():
-        numeric = trace.column(f"P[{momentum_label_to_level(2, 2 * k)}]")
-        worst = max(worst, float(np.max(np.abs(analytic - numeric))))
-    return worst
+    rows = [momentum_label_to_level(2, 2 * k) + params.ladder_halfwidth - EDGE_BUFFER for k in pops]
+    return float(np.max(np.abs(np.array(list(pops.values())) - trace.levels[rows])))
 
 
 def check_second_resonance_populations(ctx: ValidationContext) -> CheckResult:
@@ -292,7 +289,6 @@ def _expm_populations(h: np.ndarray, start: int, times) -> np.ndarray:
 
 def check_dense_oracle_equivalence(ctx: ValidationContext) -> CheckResult:
     """Every propagation route against a dense matrix-exponential oracle."""
-    interior = np.arange(-8, 9)
     worst_low = 0.0
     for nu in (1, 2, 3):
         params = FelParams(alpha=0.25, nu=nu, M=10, context="low")
@@ -308,9 +304,8 @@ def check_dense_oracle_equivalence(ctx: ValidationContext) -> CheckResult:
         for variant, op, rows in routes:
             model = LowGainModel(params=params, variant=variant)
             trace = propagate(model, LadderState.initial(params), 8.0, 9)
-            probs = np.array([trace.column(f"P[{mu}]") for mu in interior]).T[rows]
-            oracle = _expm_populations(op.dense(), 10, trace.x[rows])
-            worst_low = max(worst_low, float(np.max(np.abs(probs - oracle[:, interior + 10]))))
+            oracle = _expm_populations(op.dense(), 10, trace.x[rows])[:, EDGE_BUFFER:-EDGE_BUFFER]
+            worst_low = max(worst_low, float(np.max(np.abs(trace.levels.T[rows] - oracle))))
 
     worst_high = 0.0
     for nu, variant in ((1, "third_order"), (1, "first_order"), (2, "dicke_only"), (2, "full_second_order")):
@@ -319,9 +314,8 @@ def check_dense_oracle_equivalence(ctx: ValidationContext) -> CheckResult:
         h = build_dicke_tridiagonal(model).dense()
         for method in ("eigh", "chebyshev"):
             trace = propagate_dicke(model, 12.0, 7, method=method, keep_probabilities=True)
-            probs = np.array([trace.column(f"P[{mu}]") for mu in range(17)]).T
             oracle = _expm_populations(h, 0, trace.x)
-            worst_high = max(worst_high, float(np.max(np.abs(probs - oracle))))
+            worst_high = max(worst_high, float(np.max(np.abs(trace.levels.T - oracle))))
 
     return CheckResult("dense-propagator oracle equivalence", (
         Gate("ladder routes max |dP|", worst_low, 1e-8),

@@ -111,6 +111,12 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace(x=x, columns={"y": x[:-1]})
 
+    def test_levels_need_one_column_per_sample(self):
+        x = np.linspace(0, 1, 5)
+        assert Trace(x=x, columns={}, levels=np.zeros((3, 5))).levels.shape == (3, 5)
+        with pytest.raises(ValueError, match="levels"):
+            Trace(x=x, columns={}, levels=np.zeros((3, 4)))
+
 
 class TestSmoothingAndExtrema:
     def test_boxcar_passthrough_for_nonpositive_window(self):

@@ -35,8 +35,7 @@ def _assert_eigh_matches_chebyshev(model, span, samples):
     kwargs = dict(sample_count=samples, keep_probabilities=True)
     t1 = propagate_dicke(model, span, method="eigh", **kwargs)
     t2 = propagate_dicke(model, span, method="chebyshev", **kwargs)
-    for mu in range(model.params.N + 1):
-        assert np.max(np.abs(t1.column(f"P[{mu}]") - t2.column(f"P[{mu}]"))) < 1e-9, (samples, mu)
+    assert np.max(np.abs(t1.levels - t2.levels)) < 1e-9, samples
     for name in ("n", "norm", "energy"):
         ref = t1.column(name)
         scale = max(1.0, np.max(np.abs(ref))) if name == "energy" else np.max(np.abs(ref))
@@ -382,7 +381,8 @@ class TestPropagation:
         ]
         for nu, variant, alpha, span, rows, pieces in cases:
             model = HighGainModel(params=_params(nu, alpha=alpha, n0=200.0, N=2000), variant=variant)
-            a, d = highgain._coefficient_arrays(model)
+            bands = build_dicke_tridiagonal(model).bands
+            d, a = bands[0], bands[1]
             w, v = highgain.eigh_tridiagonal(d, a, lapack_driver="stemr")
             support = np.flatnonzero(v[0])
             assert (support[0], support[-1] + 1) == rows
@@ -434,9 +434,7 @@ class TestPropagation:
         ells = np.linspace(0.0, 9.0, 4)
         reference = expm_populations(op, psi0, ells)
         trace = propagate_dicke(model, 9.0, 4, keep_probabilities=True)
-        for i in range(4):
-            for mu in range(13):
-                assert trace.column(f"P[{mu}]")[i] == pytest.approx(reference[i, mu], abs=1e-10)
+        assert trace.levels.T == pytest.approx(reference, abs=1e-10)
 
     def test_norm_conserved_over_figure_length_run(self):
         model = HighGainModel(params=_params(2, n0=10.0, N=100), variant="full_second_order")
@@ -448,7 +446,7 @@ class TestPropagation:
     def test_kept_probabilities_are_consistent(self):
         model = HighGainModel(params=_params(1, n0=4.0, N=16), variant="third_order")
         trace = propagate_dicke(model, 6.0, 11, keep_probabilities=True)
-        probs = np.array([trace.column(f"P[{mu}]") for mu in range(17)])
+        probs = trace.levels
         assert np.allclose(probs.sum(axis=0), trace.column("norm"), atol=1e-12)
         # The reported photon number is the state's photon expectation.
         photons = 4.0 + np.arange(17)  # n0 + mu photons on level mu
@@ -475,6 +473,26 @@ class TestPropagation:
             propagate_dicke(model, 0.0)
         with pytest.raises(ValueError, match="method"):
             propagate_dicke(model, 1.0, method="magic")
+
+    def test_auto_takes_eigh_only_while_its_eigenvectors_fit_the_byte_budget(self, monkeypatch):
+        # Both routes yield no blocks, so only the choice runs: (N+1)^2 doubles
+        # fit in 2^30 bytes up to N = 11584.
+        chosen = []
+
+        def recording(name):
+            def blocks(d, a, steps):
+                chosen.append((d.size - 1, name))
+                yield from ()
+
+            return blocks
+
+        for name in ("eigh", "chebyshev"):
+            monkeypatch.setattr(highgain, f"_{name}_blocks", recording(name))
+        for N in (10_000, 11_584, 11_585, 20_000, 100_000):
+            propagate_dicke(HighGainModel(params=_params(1, N=N), variant="third_order"), 1.0, 2)
+        assert chosen == [
+            (10_000, "eigh"), (11_584, "eigh"), (11_585, "chebyshev"), (20_000, "chebyshev"), (100_000, "chebyshev"),
+        ]
 
 
 class TestRouteEquivalence:
@@ -536,8 +554,7 @@ class TestRouteEquivalence:
         n_reference = n0 * reference.sum(axis=0) + s * (np.arange(N + 1)[:, None] * reference).sum(axis=0)
         for method in ("eigh", "chebyshev"):
             trace = propagate_dicke(model, span, samples, method=method, keep_probabilities=True)
-            probs = np.array([trace.column(f"P[{mu}]") for mu in range(N + 1)])
-            assert np.max(np.abs(probs - reference)) <= tol, method
+            assert np.max(np.abs(trace.levels - reference)) <= tol, method
             assert np.max(np.abs(trace.column("n") - n_reference)) <= (n0 + s * N) * tol, method
 
 

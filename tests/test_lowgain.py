@@ -83,11 +83,8 @@ class TestRouteAgreement:
         reference = ode_populations(lambda tau: build_full_hamiltonian(p, tau), psi0, taus)
         model = LowGainModel(params=p, variant="full_hamiltonian")
         trace = propagate(model, LadderState.initial(p), 6.0, 7)
-        for i in range(1, 7):
-            for mu in range(-4, 5):
-                assert trace.column(f"P[{mu}]")[i] == pytest.approx(
-                    reference[i, mu + 6], abs=1e-9
-                )
+        # levels holds mu = -4 ... 4, ladder indices 2 ... 10.
+        assert trace.levels.T[1:] == pytest.approx(reference[1:, 2:11], abs=1e-9)
 
     def test_effective_propagation_matches_expm_oracle(self):
         p = _params(2, alpha=0.25, M=6)
@@ -98,11 +95,7 @@ class TestRouteAgreement:
         reference = expm_populations(op, psi0, taus)
         model = LowGainModel(params=p, variant="effective")
         trace = propagate(model, LadderState.initial(p), 8.0, 3)
-        for i in (1, 2):
-            for mu in range(-4, 5):
-                assert trace.column(f"P[{mu}]")[i] == pytest.approx(
-                    reference[i, mu + 6], abs=1e-10
-                )
+        assert trace.levels.T[1:] == pytest.approx(reference[1:, 2:11], abs=1e-10)
 
     @pytest.mark.parametrize("nu", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [0.1, 0.25])
@@ -218,15 +211,14 @@ class TestPropagate:
     def test_reports_only_interior_levels(self):
         p = _params(1, M=6)
         trace = propagate(LowGainModel(params=p), LadderState.initial(p), 5.0, 11)
-        assert "P[4]" in trace.columns
-        assert "P[5]" not in trace.columns  # edge buffer of two levels
-        assert "P[6]" not in trace.columns
+        assert trace.levels.shape == (9, 11)  # mu = -4 ... 4: an edge buffer of two levels
+        assert set(trace.columns) == {"dn_per_N", "norm", "energy"}
 
     def test_initial_row_is_exact(self):
         p = _params(2)
         trace = propagate(LowGainModel(params=p), LadderState.initial(p), 5.0, 11)
         assert trace.column("dn_per_N")[0] == 0.0
-        assert trace.column("P[0]")[0] == 1.0
+        assert trace.levels[8, 0] == 1.0  # mu = 0 of the interior rows -8 ... 8
         assert trace.column("norm")[0] == 1.0
 
     def test_conserves_norm_and_frame_energy(self):
