@@ -22,9 +22,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -303,7 +301,6 @@ def run_sweep(
     variant: str | None = None,
     end: float | None = None,
     samples: int | None = None,
-    jobs: int = 1,
     out: Path | str = "sweep.csv",
 ) -> Path:
     """One row per (alpha, n0, resonance) grid point; failures stay in-row.
@@ -311,15 +308,10 @@ def run_sweep(
     Low regime: propagates the momentum ladder and fits the effective Rabi
     frequency plus the first gain maximum.  High regime: evaluates the
     closed-form maxima and the exact vs shorthand interaction-length ratio
-    (no propagation, so wide grids stay cheap).  Points run concurrently with
-    ``jobs`` > 1, on at most one thread per point and per CPU; rows are
-    always emitted in grid order, so parallel output is identical to serial
-    output.
+    (no propagation, so wide grids stay cheap).
     """
     if regime not in ("low", "high"):
         raise ScenarioError(f"regime must be 'low' or 'high', got {regime!r}")
-    if jobs < 1:
-        raise ScenarioError(f"jobs must be at least 1, got {jobs}")
     if regime == "low":
         if n0 is not None or electrons is not None:
             raise ScenarioError("the low-gain sweep follows one unseeded electron; --n0/--electrons do not apply")
@@ -342,20 +334,10 @@ def run_sweep(
 
     grid = [(a, seed, nu) for a in alpha for seed in n0 for nu in resonance]
 
-    def point(args: tuple[float, float, int]) -> list:
-        # Set again per point, beyond the one in ``main``: threads do not inherit it.
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if regime == "low":
-                return _sweep_point_low(*args, electrons, variant, end, samples)
-            return _sweep_point_high(*args, electrons)
-
-    # More threads than points or CPUs would only wait on one another.
-    workers = min(jobs, len(grid), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(point, grid))
+    if regime == "low":
+        rows = [_sweep_point_low(*g, electrons, variant, end, samples) for g in grid]
     else:
-        rows = [point(g) for g in grid]
+        rows = [_sweep_point_high(*g, electrons) for g in grid]
 
     meta = {
         "subcommand": "sweep",
@@ -406,7 +388,6 @@ _FLAGS: dict[str, tuple[Callable[[str], object], str]] = {
     "out": (str, "output CSV path"),
     "panel": (str, "which figure panel: top or bottom"),
     "regime": (str, "low (ladder) or high (collective closed forms)"),
-    "jobs": (_parse_int, "concurrent grid points"),
 }
 
 #: Each subcommand's help text; ``run_<name>`` runs it, and its parameters are the flags, in help order.

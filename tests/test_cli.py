@@ -247,48 +247,6 @@ class TestSweepLow:
             assert cols["error"][i] == "first-resonance frequency breaks down: alpha^2 / 4 >= 1"
             assert math.isnan(cols["fitted_frequency"][i])
 
-    def test_parallel_equals_serial_byte_for_byte(self, tmp_path):
-        base = ["sweep", "--alpha", "0.1,0.2", "--resonance", "1,2", "--samples", "801"]
-        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        assert cli.main(base + ["--out", str(serial)]) == 0
-        assert cli.main(base + ["--jobs", "3", "--out", str(parallel)]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-
-    def test_jobs_start_no_more_threads_than_points_or_cpus(self, tmp_path, monkeypatch):
-        # A stand-in pool records its size and maps serially, so no thread starts.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-        out = tmp_path / "high.csv"
-        base = ["sweep", "--regime", "high", "--out", str(out)]
-        grid_of_12 = ["--alpha", "0.1,0.2,0.3", "--n0", "10,100"]
-        one_point = ["--alpha", "0.1", "--n0", "10", "--resonance", "1"]
-        for cpus, argv, rows, expected in [
-            (4, grid_of_12 + ["--jobs", "5000"], 12, [4]),
-            (64, grid_of_12 + ["--jobs", "5000"], 12, [12]),
-            (64, grid_of_12 + ["--jobs", "3"], 12, [3]),
-            (None, grid_of_12 + ["--jobs", "5000"], 12, []),
-            (4, one_point + ["--jobs", "5000"], 1, []),
-        ]:
-            sizes.clear()
-            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-            assert cli.main(base + argv) == 0
-            assert sizes == expected, (cpus, argv)
-            assert len(out.read_text(encoding="ascii").splitlines()) == 2 + rows
-
     def test_empty_grid_writes_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
         assert cli.main(["sweep", "--alpha", "", "--out", str(out)]) == 0
@@ -394,6 +352,15 @@ class TestScenarioFiles:
         err = capsys.readouterr().err
         assert "alhpa" in err and "known:" in err
 
+    def test_jobs_key_is_unknown_to_sweep(self, tmp_path, capsys):
+        cfg = tmp_path / "jobs.cfg"
+        cfg.write_text("jobs=2\n")
+        out = tmp_path / "x.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown scenario key 'jobs' for sweep") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_low_sweep_rejects_a_seed_from_the_file(self, tmp_path, capsys):
         # A file value is checked as the flag would be: the low regime has no seed.
         cfg = tmp_path / "low.cfg"
@@ -450,9 +417,11 @@ class TestExitCodes:
                 "first-resonance phase factor breaks down",
                 marks=pytest.mark.filterwarnings("ignore:alpha"),
             ),
-            # Values below one start no threads; large values are left untested.
-            (["sweep", "--regime", "high", "--jobs", "0"], "jobs must be at least 1, got 0"),
-            (["sweep", "--regime", "high", "--jobs", "-3"], "jobs must be at least 1, got -3"),
+            (
+                ["sweep", "--variant", "dicke_only"],
+                "low-gain sweep variant must be 'full_hamiltonian' or 'effective', got 'dicke_only'",
+            ),
+            (["sweep", "--regime", "high", "--variant", "effective"], "--variant does not apply"),
             (["fig3", "--panel", "sideways"], "panel must be 'top' or 'bottom', got 'sideways'"),
             (["sweep", "--regime", "sideways"], "regime must be 'low' or 'high', got 'sideways'"),
         ],
@@ -475,11 +444,20 @@ class TestExitCodes:
             cli.main(["transmogrify"])
         assert info.value.code == 2
 
+    def test_sweep_has_no_jobs_flag(self, tmp_path, capsys):
+        # The sweep runs its points in one serial loop, so it takes no --jobs flag.
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as info:
+            cli.main(["sweep", "--jobs", "2", "--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 #: Flag values for the fuzz test: non-finite, signed, zero, tiny, ordinary,
 #: huge, not a number and empty.
 FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e-300", "0.3", "2", "1e300", "x", "")
-#: Numeric flags per command; ``--jobs`` is left out so no call starts threads.
+#: Numeric flags per command.
 FUZZ_FLAGS = {
     ("fig2",): ("alpha", "end", "samples"),
     ("fig3", "--panel=top"): ("alpha", "n0", "electrons", "end", "samples"),

@@ -2,6 +2,7 @@
 
 import ctypes
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -647,6 +648,27 @@ class TestSemiclassical:
             integrate_semiclassical(_params(2, n0=0.0), 1.0)
         with pytest.raises(ValueError):
             integrate_semiclassical(_params(2), 0.0)
+
+    def test_population_sum_above_n_aborts(self, monkeypatch):
+        # A stand-in solver returns |b0|^2 + |b2|^2 = N (1 + excess) at every sample.
+        import scipy.integrate
+
+        p = _params(2, alpha=0.25, n0=100.0, N=1000)
+
+        def fake_solve_ivp(excess):
+            def solve(rhs, span, y0, t_eval, **options):
+                y = np.empty((3, t_eval.size), dtype=complex)
+                y[0], y[1], y[2] = y0[0], np.sqrt(p.N * (1.0 + excess)), 0.0
+                return types.SimpleNamespace(success=True, message="", y=y)
+
+            return solve
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", fake_solve_ivp(1e-6))
+        with pytest.raises(RuntimeError, match=r"max N0\+N2 = 1\.000001e\+03 vs N = 1000"):
+            integrate_semiclassical(p, 1.0, 5)
+        # Inside the 1e-8 N tolerance the run is kept.
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", fake_solve_ivp(1e-9))
+        assert integrate_semiclassical(p, 1.0, 5).column("A") == pytest.approx(p.N, rel=1e-8)
 
 
 class TestLengthFormulas:

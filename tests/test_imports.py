@@ -30,6 +30,7 @@ from qfel import (
 def loaded():
     flags = {{name: name in sys.modules for name in {DEFERRED!r}}}
     flags["scipy"] = any(name.split(".")[0] == "scipy" for name in sys.modules)
+    flags["concurrent.futures"] = "concurrent.futures" in sys.modules
     return flags
 
 p = FelParams(alpha=0.25, nu=2, n0=10.0, N=50, context="high")
@@ -81,6 +82,11 @@ def _loaded(flags):
 def test_import_loads_none_of_the_deferred_modules(stages):
     # Nor any other scipy module: ``loaded`` flags that as "scipy".
     assert not any(stages["import"].values())
+
+
+def test_cli_import_loads_no_thread_pool(stages):
+    # ``qfel sweep`` runs its grid points in one serial loop.
+    assert not stages["import"]["concurrent.futures"]
 
 
 def test_low_gain_propagation_loads_none_of_the_deferred_modules(stages):
