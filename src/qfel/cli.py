@@ -23,6 +23,7 @@ import argparse
 import inspect
 import math
 import sys
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -48,7 +49,6 @@ from .lowgain import (
 )
 
 __all__ = [
-    "ScenarioError",
     "main",
     "run_fig2",
     "run_fig3",
@@ -56,10 +56,6 @@ __all__ = [
     "run_sweep",
     "run_validate",
 ]
-
-
-class ScenarioError(ValueError):
-    """A scenario asks for an unsupported or ill-formed combination."""
 
 
 def _fmt(value) -> str:
@@ -113,12 +109,6 @@ def run_fig2(
     return _write_csv(out, meta, header, zip(*columns))
 
 
-_FIG3_DEFAULTS = {
-    "top": {"alpha": 0.5, "resonance": 1, "end": 7.0, "samples": 501, "out": "fig3_top.csv"},
-    "bottom": {"alpha": 0.25, "resonance": 2, "end": 45.0, "samples": 601, "out": "fig3_bottom.csv"},
-}
-
-
 def run_fig3(
     panel: str | None = None,
     alpha: float | None = None,
@@ -134,16 +124,29 @@ def run_fig3(
     numeric model.  ``bottom``: second resonance — the mean-field closed form
     next to the pair-coupling-only and full numeric models.
     """
-    if panel is None:
-        raise ScenarioError("fig3 needs --panel top or --panel bottom")
-    if panel not in _FIG3_DEFAULTS:
-        raise ScenarioError(f"panel must be 'top' or 'bottom', got {panel!r}")
-    d = _FIG3_DEFAULTS[panel]
-    alpha = d["alpha"] if alpha is None else alpha
-    end = d["end"] if end is None else end
-    samples = d["samples"] if samples is None else samples
-    out = d["out"] if out is None else out
-    params = FelParams(alpha=alpha, nu=d["resonance"], n0=n0, N=electrons, context="high")
+    if panel == "top":
+        resonance = 1
+        alpha = 0.5 if alpha is None else alpha
+        end = 7.0 if end is None else end
+        samples = 501 if samples is None else samples
+        out = "fig3_top.csv" if out is None else out
+        header = ["L_over_Lg", "n_analytic_order3", "n_analytic_order1", "n_numeric_third_order"]
+        closed_forms = (partial(analytic_n_first, order=3), partial(analytic_n_first, order=1))
+        variants = ("third_order",)
+    elif panel == "bottom":
+        resonance = 2
+        alpha = 0.25 if alpha is None else alpha
+        end = 45.0 if end is None else end
+        samples = 601 if samples is None else samples
+        out = "fig3_bottom.csv" if out is None else out
+        header = ["L_over_Lg", "n_analytic", "n_numeric_dicke_only", "n_numeric_full_second_order"]
+        closed_forms = (analytic_n_second,)
+        variants = ("dicke_only", "full_second_order")
+    elif panel is None:
+        raise ValueError("fig3 needs --panel top or --panel bottom")
+    else:
+        raise ValueError(f"panel must be 'top' or 'bottom', got {panel!r}")
+    params = FelParams(alpha=alpha, nu=resonance, n0=n0, N=electrons, context="high")
     ell = sample_axis(end, samples)
     meta = {
         "subcommand": "fig3",
@@ -155,14 +158,7 @@ def run_fig3(
         "samples": samples,
     }
     # Closed forms first: they reject a seedless field before the N-electron solve.
-    if panel == "top":
-        header = ["L_over_Lg", "n_analytic_order3", "n_analytic_order1", "n_numeric_third_order"]
-        columns = [ell, analytic_n_first(ell, params, order=3), analytic_n_first(ell, params, order=1)]
-        variants = ("third_order",)
-    else:
-        header = ["L_over_Lg", "n_analytic", "n_numeric_dicke_only", "n_numeric_full_second_order"]
-        columns = [ell, analytic_n_second(ell, params)]
-        variants = ("dicke_only", "full_second_order")
+    columns = [ell, *(closed_form(ell, params) for closed_form in closed_forms)]
     for variant in variants:
         model = HighGainModel(params=params, variant=variant)
         columns.append(propagate_dicke(model, end, samples).column("n"))
@@ -262,16 +258,13 @@ def _sweep_point_high(alpha: float, n0: float, nu: int, electrons: int) -> list:
     errors: list[str] = []
     # lmax_exact reads alpha, n0 and N only, so one FelParams serves every
     # resonance; each is computed once per row, so its error is written once.
-    lengths: dict[int, float] = {}
-
+    @cache
     def exact(resonance: int) -> float:
-        if resonance not in lengths:
-            try:
-                lengths[resonance] = lmax_exact(params, resonance)
-            except Exception as err:  # noqa: BLE001
-                errors.append(_sanitize(err))
-                lengths[resonance] = math.nan
-        return lengths[resonance]
+        try:
+            return lmax_exact(params, resonance)
+        except Exception as err:  # noqa: BLE001
+            errors.append(_sanitize(err))
+            return math.nan
 
     row[6] = exact(nu)
     if nu in (1, 2):
@@ -310,35 +303,31 @@ def run_sweep(
     closed-form maxima and the exact vs shorthand interaction-length ratio
     (no propagation, so wide grids stay cheap).
     """
-    if regime not in ("low", "high"):
-        raise ScenarioError(f"regime must be 'low' or 'high', got {regime!r}")
     if regime == "low":
         if n0 is not None or electrons is not None:
-            raise ScenarioError("the low-gain sweep follows one unseeded electron; --n0/--electrons do not apply")
+            raise ValueError("the low-gain sweep follows one unseeded electron; --n0/--electrons do not apply")
         n0, electrons = (0.0,), 1
         resonance = (1, 2, 3) if resonance is None else resonance
         variant = "full_hamiltonian" if variant is None else variant
         if variant not in ("full_hamiltonian", "effective"):
-            raise ScenarioError(
+            raise ValueError(
                 f"low-gain sweep variant must be 'full_hamiltonian' or 'effective', got {variant!r}"
             )
         samples = 2001 if samples is None else samples
-    else:
+        rows = [_sweep_point_low(a, 0.0, nu, 1, variant, end, samples) for a in alpha for nu in resonance]
+        regime_meta = {"variant": variant, "end": "auto" if end is None else end, "samples": samples}
+    elif regime == "high":
         n0 = (1000.0,) if n0 is None else n0
         resonance = (1, 2) if resonance is None else resonance
         electrons = 10_000 if electrons is None else electrons
         if variant is not None:
-            raise ScenarioError("the high-gain sweep is closed-form only; --variant does not apply")
+            raise ValueError("the high-gain sweep is closed-form only; --variant does not apply")
         if end is not None or samples is not None:
-            raise ScenarioError("the high-gain sweep is closed-form only; --end/--samples do not apply")
-
-    grid = [(a, seed, nu) for a in alpha for seed in n0 for nu in resonance]
-
-    if regime == "low":
-        rows = [_sweep_point_low(*g, electrons, variant, end, samples) for g in grid]
+            raise ValueError("the high-gain sweep is closed-form only; --end/--samples do not apply")
+        rows = [_sweep_point_high(a, seed, nu, electrons) for a in alpha for seed in n0 for nu in resonance]
+        regime_meta = {}
     else:
-        rows = [_sweep_point_high(*g, electrons) for g in grid]
-
+        raise ValueError(f"regime must be 'low' or 'high', got {regime!r}")
     meta = {
         "subcommand": "sweep",
         "regime": regime,
@@ -346,11 +335,8 @@ def run_sweep(
         "n0": ",".join(_fmt(v) for v in n0),
         "resonance": ",".join(str(r) for r in resonance),
         "electrons": electrons,
+        **regime_meta,
     }
-    if regime == "low":
-        meta["variant"] = variant
-        meta["end"] = "auto" if end is None else end
-        meta["samples"] = samples
     return _write_csv(out, meta, _SWEEP_HEADER, rows)
 
 
@@ -358,18 +344,15 @@ def run_sweep(
 # option plumbing: scenario files + flags, converted by one table
 
 
-def _parse_float(text: str) -> float:
+def _parse_number(kind: type, noun: str, text: str) -> float | int:
     try:
-        return float(text)
+        return kind(text)
     except ValueError as err:
-        raise ScenarioError(f"expected a number, got {text!r}") from err
+        raise ValueError(f"expected {noun}, got {text!r}") from err
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as err:
-        raise ScenarioError(f"expected an integer, got {text!r}") from err
+_parse_float = partial(_parse_number, float, "a number")
+_parse_int = partial(_parse_number, int, "an integer")
 
 
 def _parse_list(convert: Callable[[str], object]) -> Callable[[str], tuple]:
@@ -409,14 +392,14 @@ def _read_scenario_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
-        raise ScenarioError(f"cannot read scenario file: {err}") from err
+        raise ValueError(f"cannot read scenario file: {err}") from err
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ScenarioError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
     return values
@@ -427,19 +410,16 @@ def _resolve_options(args: argparse.Namespace) -> dict[str, object]:
     kinds = {key: _FLAGS[key][0] for key in inspect.signature(_runner(args.command)).parameters}
     if args.command == "sweep":
         kinds.update(alpha=_parse_list(_parse_float), n0=_parse_list(_parse_float))
-    raw: dict[str, str] = {}
-    if getattr(args, "config", None):
-        for key, value in _read_scenario_file(args.config).items():
-            if key not in kinds:
-                raise ScenarioError(
-                    f"unknown scenario key {key!r} for {args.command} "
-                    f"(known: {', '.join(sorted(kinds)) or 'none'})"
-                )
-            raw[key] = value
+    raw = _read_scenario_file(args.config) if args.config else {}
+    for key in raw:
+        if key not in kinds:
+            raise ValueError(
+                f"unknown scenario key {key!r} for {args.command} "
+                f"(known: {', '.join(sorted(kinds)) or 'none'})"
+            )
     for key in kinds:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            raw[key] = flag_value
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
     return {key: kinds[key](value) for key, value in raw.items()}
 
 
@@ -475,7 +455,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             # A value that overflows or turns NaN raises instead of reaching the CSV.
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 path = _runner(args.command)(**opts)
-    except ValueError as err:  # a ScenarioError, or a domain check of the library
+    except ValueError as err:  # a bad scenario, or a domain check of the library
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ArithmeticError as err:  # e.g. --alpha 1e300 overflowing alpha**2

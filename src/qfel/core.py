@@ -155,13 +155,16 @@ class BandedHermitianOperator:
     bands: Dict[int, np.ndarray]
 
     def __post_init__(self) -> None:
+        # A new dict, so the caller's stays as given; a float band keeps its array.
+        bands: Dict[int, np.ndarray] = {}
         for d, entries in self.bands.items():
             if np.iscomplexobj(entries):
                 raise ValueError(f"band {d} must be real for a symmetric matrix")
             entries = np.asarray(entries, dtype=float)
             if d < 0 or entries.shape != (self.size - d,):
                 raise ValueError(f"band {d} must have length size - d = {self.size - d}")
-            self.bands[d] = entries
+            bands[d] = entries
+        self.bands = bands
 
     def dense(self) -> np.ndarray:
         """Materialize the full real symmetric matrix."""
@@ -214,8 +217,10 @@ class Trace:
             if col.shape != self.x.shape:
                 raise ValueError(f"column {name!r} length differs from abscissa")
             self.columns[name] = col
-        if self.levels is not None and self.levels.shape[1:] != self.x.shape:
-            raise ValueError("levels must hold one column per sample")
+        if self.levels is not None:
+            self.levels = np.asarray(self.levels)
+            if self.levels.shape[1:] != self.x.shape:
+                raise ValueError("levels must hold one column per sample")
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]

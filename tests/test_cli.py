@@ -173,6 +173,61 @@ class TestRunnerDefaults:
         assert (tmp_path / "api.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("panel", ["top", "bottom"])
+    def test_each_fig3_panel_names_its_own_output(self, panel, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # n0 = 1000 over N = 24 would break the top panel's phase factor.
+        assert cli.run_fig3(panel=panel, n0=2.4, electrons=24) == Path(f"fig3_{panel}.csv")
+        assert [path.name for path in tmp_path.iterdir()] == [f"fig3_{panel}.csv"]
+
+    @pytest.mark.parametrize(
+        "runner, kwargs, message",
+        [
+            ("run_fig3", {}, "fig3 needs --panel top or --panel bottom"),
+            ("run_fig3", {"panel": "side"}, "panel must be 'top' or 'bottom', got 'side'"),
+            ("run_sweep", {"regime": "sideways"}, "regime must be 'low' or 'high', got 'sideways'"),
+            (
+                "run_sweep",
+                {"regime": "high", "variant": "effective"},
+                "the high-gain sweep is closed-form only; --variant does not apply",
+            ),
+        ],
+    )
+    def test_a_bad_scenario_raises_value_error(self, runner, kwargs, message, tmp_path):
+        with pytest.raises(ValueError) as info:
+            getattr(cli, runner)(**kwargs, out=tmp_path / "x.csv")
+        assert str(info.value) == message
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, comment",
+        [
+            (
+                ["sweep"],
+                "# subcommand=sweep regime=low alpha=0.1,0.2,0.3 n0=0 resonance=1,2,3 electrons=1"
+                " variant=full_hamiltonian end=auto samples=2001",
+            ),
+            (
+                ["sweep", "--end", "3", "--samples", "50"],
+                "# subcommand=sweep regime=low alpha=0.1,0.2,0.3 n0=0 resonance=1,2,3 electrons=1"
+                " variant=full_hamiltonian end=3 samples=50",
+            ),
+            (
+                ["sweep", "--regime", "high"],
+                "# subcommand=sweep regime=high alpha=0.1,0.2,0.3 n0=1000 resonance=1,2 electrons=10000",
+            ),
+            (
+                ["fig3", "--panel", "bottom", "--electrons", "1500"],
+                "# subcommand=fig3 panel=bottom alpha=0.25 n0=1000 electrons=1500 end=45 samples=601",
+            ),
+        ],
+    )
+    def test_comment_line_records_the_resolved_scenario(self, argv, comment, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert out.read_text(encoding="ascii").splitlines()[0] == comment
+        capsys.readouterr()
+
 
 def test_flag_table_names_exactly_the_runner_parameters():
     # Each command's flags are its runner's parameters; ``_FLAGS`` converts

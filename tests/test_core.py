@@ -95,6 +95,17 @@ class TestBandedOperator:
         with pytest.raises(ValueError, match="real"):
             BandedHermitianOperator(size=3, bands={d: entries})
 
+    def test_caller_bands_are_left_as_given(self):
+        # The operator holds its own dict: the caller's keeps its lists, and a
+        # float64 band is held as the very array passed in.
+        bands = {0: [1, 2, 3], 1: [0.5, 0.5]}
+        op = BandedHermitianOperator(3, bands)
+        assert op.bands is not bands
+        assert bands == {0: [1, 2, 3], 1: [0.5, 0.5]}
+        assert isinstance(op.bands[0], np.ndarray) and op.bands[0].dtype == np.float64
+        diag = np.arange(3.0)
+        assert BandedHermitianOperator(3, {0: diag}).bands[0] is diag
+
     def test_tridiagonal_parts(self):
         op = BandedHermitianOperator(size=3, bands={0: np.arange(3.0), 1: np.ones(2)})
         assert np.array_equal(op.bands[0], np.arange(3.0))
@@ -116,6 +127,9 @@ class TestTrace:
         assert Trace(x=x, columns={}, levels=np.zeros((3, 5))).levels.shape == (3, 5)
         with pytest.raises(ValueError, match="levels"):
             Trace(x=x, columns={}, levels=np.zeros((3, 4)))
+        assert Trace(x=x, columns={}, levels=[[1, 2, 3, 4, 5]]).levels.shape == (1, 5)
+        with pytest.raises(ValueError, match="levels"):
+            Trace(x=x, columns={}, levels=[[1, 2, 3]])
 
 
 class TestSmoothingAndExtrema:
