@@ -455,7 +455,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             # A value that overflows or turns NaN raises instead of reaching the CSV.
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 path = _runner(args.command)(**opts)
-    except ValueError as err:  # a bad scenario, or a domain check of the library
+    except (ValueError, MemoryError) as err:  # a bad scenario, a domain check, or a size too large
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ArithmeticError as err:  # e.g. --alpha 1e300 overflowing alpha**2

@@ -44,6 +44,11 @@ __all__ = [
 EDGE_BUFFER = 2
 
 
+def _is_integer(value: object) -> bool:
+    """An integer count or index: ``bool`` is an ``Integral`` too, but not one of these."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FelParams:
     """Dimensionless parameters of one simulation scenario.
@@ -69,7 +74,7 @@ class FelParams:
         ``|nu| + 8``; must be at least ``|nu| + 3`` so every coupling of the
         effective models fits inside the truncated ladder.
     order:
-        Expansion order for the effective low-gain models; ``None`` selects
+        Expansion order (an integer) of the effective low-gain models; ``None`` selects
         each resonance's highest tabulated order.
     context:
         ``"low"`` or ``"high"``; declares which regime ``alpha`` refers to.
@@ -95,16 +100,18 @@ class FelParams:
                 f"alpha = {self.alpha} exceeds 1: outside the quantum regime",
                 stacklevel=2,
             )
-        if not isinstance(self.nu, Integral) or self.nu == 0:
+        if not _is_integer(self.nu) or self.nu == 0:
             raise ValueError(f"nu must be a nonzero integer, got {self.nu}")
         if self.n0 < 0:
             raise ValueError(f"n0 must be non-negative, got {self.n0}")
         if not np.isfinite(self.n0):
             raise ValueError(f"n0 must be finite, got {self.n0}")
-        if not isinstance(self.N, Integral) or self.N < 1:
+        if not _is_integer(self.N) or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
-        if self.M is not None and not isinstance(self.M, Integral):
+        if self.M is not None and not _is_integer(self.M):
             raise ValueError(f"M must be an integer, got {self.M}")
+        if self.order is not None and not _is_integer(self.order):
+            raise ValueError(f"order must be an integer, got {self.order}")
         m = self.ladder_halfwidth
         if m < abs(self.nu) + 3:
             raise ValueError(
@@ -212,6 +219,7 @@ class Trace:
             raise ValueError("abscissa must be 1-D with at least two samples")
         if not np.all(np.diff(self.x) > 0):
             raise ValueError("abscissae must be strictly increasing")
+        self.columns = dict(self.columns)  # a copy, so the caller's dict stays as given
         for name, col in self.columns.items():
             col = np.asarray(col)
             if col.shape != self.x.shape:
@@ -254,19 +262,14 @@ class Extremum(NamedTuple):
     amplitude: float
 
 
-def first_maximum(x: np.ndarray, y: np.ndarray, smooth_window: float = 0.0) -> Extremum:
+def first_maximum(x: np.ndarray, y: np.ndarray) -> Extremum:
     """First maximum of a sampled oscillation, with parabolic refinement.
 
     The trace is expected to cover roughly one oscillation period so that the
-    global maximum is the first one.  With ``smooth_window > 0`` the trace is
-    boxcar-averaged first, which suppresses fast ripple when locating the
-    position of a slow envelope (the raw amplitude is usually wanted instead:
-    call once without smoothing for the height).
+    global maximum is the first one.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if smooth_window > 0:
-        x, y = boxcar_smooth(x, y, smooth_window)
     i = int(np.argmax(y))
     if i == 0 or i == y.size - 1:
         raise ValueError("no interior maximum found within the trace")

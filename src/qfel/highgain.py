@@ -96,10 +96,6 @@ class HighGainModel:
                 f"resonance nu = {nu} supports variants {VARIANTS[nu]}, got {self.variant!r}"
             )
 
-    @property
-    def photon_step(self) -> int:
-        return 2 if self.params.nu == 2 else 1
-
 
 def build_dicke_tridiagonal(model: HighGainModel) -> BandedHermitianOperator:
     """(N+1) x (N+1) real symmetric tridiagonal operator: d(0..N) as band 0, a(1..N) as band 1."""
@@ -374,7 +370,6 @@ def propagate_dicke(
     steps = sample_axis(ell_end, sample_count)
     bands = build_dicke_tridiagonal(model).bands
     d, a = bands[0], bands[1]
-    s = model.photon_step
     mus = np.arange(p.N + 1, dtype=float)
 
     if method == "auto":
@@ -387,7 +382,7 @@ def propagate_dicke(
     prob_out = np.empty((p.N + 1, sample_count)) if keep_probabilities else None
     for sl, cr, ci, scratch in routes[method](d, a, steps):
         n_out[sl], norm_out[sl], energy_out[sl], probs = _block_observables(
-            cr, ci, scratch, mus, a, d, p.n0, s
+            cr, ci, scratch, mus, a, d, p.n0, p.nu
         )
         if prob_out is not None:
             prob_out[:, sl] = probs

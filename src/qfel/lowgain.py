@@ -34,6 +34,7 @@ from .core import (
     LadderState,
     Trace,
     _positive_bracket,
+    boxcar_smooth,
     first_maximum,
     sample_axis,
 )
@@ -342,5 +343,5 @@ def fit_rabi_frequency(trace: Trace, smooth_window: float = 0.0) -> float:
     ripple on top of the envelope.  Raises if the trace contains no interior
     maximum.
     """
-    ext = first_maximum(trace.x, np.asarray(trace.column("dn_per_N"), dtype=float), smooth_window)
+    ext = first_maximum(*boxcar_smooth(trace.x, trace.column("dn_per_N"), smooth_window))
     return float(np.pi / (2.0 * ext.position))

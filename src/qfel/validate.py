@@ -16,7 +16,7 @@ traces) are computed once per process and shared across checks through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -92,8 +92,8 @@ class CheckResult:
 
 
 def _low_params(nu: int, alpha: float = 0.25, m_scale: int = 1) -> FelParams:
-    m = m_scale * (abs(nu) + 8)
-    return FelParams(alpha=alpha, nu=nu, M=m, context="low")
+    params = FelParams(alpha=alpha, nu=nu, context="low")
+    return replace(params, M=m_scale * params.ladder_halfwidth)
 
 
 _LOW_SAMPLES = {1: 4001, 2: 4001, 3: 8001}
@@ -304,7 +304,7 @@ def check_dense_oracle_equivalence(ctx: ValidationContext) -> CheckResult:
         for variant, op, rows in routes:
             model = LowGainModel(params=params, variant=variant)
             trace = propagate(model, LadderState.initial(params), 8.0, 9)
-            oracle = _expm_populations(op.dense(), 10, trace.x[rows])[:, EDGE_BUFFER:-EDGE_BUFFER]
+            oracle = _expm_populations(op.dense(), params.ladder_halfwidth, trace.x[rows])[:, EDGE_BUFFER:-EDGE_BUFFER]
             worst_low = max(worst_low, float(np.max(np.abs(trace.levels.T[rows] - oracle))))
 
     worst_high = 0.0

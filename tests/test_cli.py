@@ -489,6 +489,18 @@ class TestExitCodes:
         assert message in err
         assert not out.exists()
 
+    def test_a_size_that_does_not_fit_is_a_one_line_usage_error(self, tmp_path, capsys, monkeypatch):
+        # Raised in place of allocating: "qfel fig4 --samples 100000000000" asks for 745 GiB.
+        def sample_axis(end, samples):
+            raise MemoryError(f"Unable to allocate an axis of {samples} samples")
+
+        monkeypatch.setattr(cli, "sample_axis", sample_axis)
+        out = tmp_path / "fig4.csv"
+        assert cli.main(["fig4", "--samples", "100000000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate an axis of 100000000000 samples\n"
+        assert not out.exists()
+
     def test_unwritable_output_path(self, tmp_path, capsys):
         target = tmp_path / "missing_dir" / "fig4.csv"
         assert cli.main(["fig4", "--out", str(target)]) == 1

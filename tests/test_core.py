@@ -43,11 +43,22 @@ class TestFelParams:
             {"alpha": 0.25, "M": 12.0},  # integral value, but not an integer
             {"alpha": 0.25, "M": np.inf},
             {"alpha": 0.25, "M": np.nan},
+            {"alpha": 0.25, "nu": True},  # bool is an Integral, but not an integer here
+            {"alpha": 0.25, "N": True, "context": "high"},
+            {"alpha": 0.25, "M": True},
+            {"alpha": 0.25, "order": True},
+            {"alpha": 0.25, "order": 2.0},  # integral value, but not an integer
         ],
     )
     def test_rejections(self, kwargs):
         with pytest.raises(ValueError):
             FelParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["nu", "N", "M", "order"])
+    def test_bool_is_refused_as_an_integer(self, field):
+        # M = True would also fall below |nu| + 3; the message names the integer rule.
+        with pytest.raises(ValueError, match=f"^{field} must be an? .*integer, got True"):
+            FelParams(alpha=0.25, context="high", **{field: True})
 
     def test_alpha_above_one_warns(self):
         with pytest.warns(UserWarning, match="quantum regime"):
@@ -131,6 +142,14 @@ class TestTrace:
         with pytest.raises(ValueError, match="levels"):
             Trace(x=x, columns={}, levels=[[1, 2, 3]])
 
+    def test_caller_columns_are_left_as_given(self):
+        x = np.linspace(0, 1, 5)
+        cols = {"n": [0, 1, 2, 3, 4]}
+        t = Trace(x=x, columns=cols)
+        assert t.columns is not cols
+        assert cols == {"n": [0, 1, 2, 3, 4]}
+        assert isinstance(t.column("n"), np.ndarray)
+
 
 class TestSmoothingAndExtrema:
     def test_boxcar_passthrough_for_nonpositive_window(self):
@@ -168,5 +187,5 @@ class TestSmoothingAndExtrema:
         x = np.linspace(0, np.pi, 4001)
         ripple = 0.05 * np.sin(40 * x)
         y = np.sin(x) ** 2 + ripple
-        ext = first_maximum(x, y, smooth_window=2 * np.pi / 40)
+        ext = first_maximum(*boxcar_smooth(x, y, 2 * np.pi / 40))
         assert ext.position == pytest.approx(np.pi / 2, abs=5e-3)

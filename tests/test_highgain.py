@@ -58,10 +58,6 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="variants"):
             HighGainModel(params=_params(2), variant="third_order")
 
-    def test_photon_step_per_resonance(self):
-        assert HighGainModel(params=_params(1), variant="third_order").photon_step == 1
-        assert HighGainModel(params=_params(2), variant="dicke_only").photon_step == 2
-
 
 class TestCoefficients:
     @staticmethod
@@ -395,7 +391,7 @@ class TestPropagation:
             probs = np.abs(c) ** 2
             norm = probs.sum(axis=0)
             expected = {
-                "n": model.params.n0 * norm + model.photon_step * (np.arange(v.shape[0])[:, None] * probs).sum(axis=0),
+                "n": model.params.n0 * norm + model.params.nu * (np.arange(v.shape[0])[:, None] * probs).sum(axis=0),
                 "norm": norm,
                 "energy": probs.T @ d + 2.0 * (c[:-1].conj() * c[1:]).real.T @ a,
             }
@@ -551,7 +547,7 @@ class TestRouteEquivalence:
         psi0 = np.zeros(N + 1, dtype=complex)
         psi0[0] = 1.0
         reference = expm_populations(op, psi0, np.linspace(0.0, span, samples)).T
-        s = model.photon_step
+        s = model.params.nu
         n_reference = n0 * reference.sum(axis=0) + s * (np.arange(N + 1)[:, None] * reference).sum(axis=0)
         for method in ("eigh", "chebyshev"):
             trace = propagate_dicke(model, span, samples, method=method, keep_probabilities=True)
