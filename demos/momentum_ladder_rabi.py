@@ -21,7 +21,6 @@ from qfel import (
     fit_rabi_frequency,
     gain_frequency,
     propagate,
-    ripple_period,
 )
 
 ALPHA = 0.25
@@ -45,7 +44,7 @@ def main():
         trace = propagate(model, LadderState.initial(params), tau_end, 4001)
 
         peak = first_maximum(trace.x, trace.column("dn_per_N"))
-        fitted = fit_rabi_frequency(trace, smooth_window=ripple_period(params))
+        fitted = fit_rabi_frequency(trace, model)
         closed = gain_frequency(nu, ALPHA)
 
         print(f"\nresonance nu = {nu}  (ladder of {2 * params.ladder_halfwidth + 1} levels)")

@@ -45,7 +45,6 @@ from .lowgain import (
     fit_rabi_frequency,
     gain_frequency,
     propagate,
-    ripple_period,
 )
 
 __all__ = [
@@ -238,8 +237,7 @@ def _sweep_point_low(
         model = LowGainModel(params=params, variant=variant)
         tau_end = 1.05 * np.pi / gain_frequency(nu, alpha) if end is None else end
         trace = propagate(model, LadderState.initial(params), tau_end, samples)
-        window = ripple_period(params) if variant == "full_hamiltonian" else 0.0
-        row[4] = fit_rabi_frequency(trace, smooth_window=window)
+        row[4] = fit_rabi_frequency(trace, model)
         peak = first_maximum(trace.x, trace.column("dn_per_N"))
         row[5] = peak.amplitude
         row[6] = peak.position

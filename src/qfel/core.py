@@ -73,9 +73,6 @@ class FelParams:
         Ladder truncation half-width (low gain), an integer.  Defaults to
         ``|nu| + 8``; must be at least ``|nu| + 3`` so every coupling of the
         effective models fits inside the truncated ladder.
-    order:
-        Expansion order (an integer) of the effective low-gain models; ``None`` selects
-        each resonance's highest tabulated order.
     context:
         ``"low"`` or ``"high"``; declares which regime ``alpha`` refers to.
     """
@@ -85,7 +82,6 @@ class FelParams:
     n0: float = 0.0
     N: int = 1
     M: int | None = None
-    order: int | None = None
     context: str = "low"
 
     def __post_init__(self) -> None:
@@ -110,8 +106,6 @@ class FelParams:
             raise ValueError(f"N must be a positive integer, got {self.N}")
         if self.M is not None and not _is_integer(self.M):
             raise ValueError(f"M must be an integer, got {self.M}")
-        if self.order is not None and not _is_integer(self.order):
-            raise ValueError(f"order must be an integer, got {self.order}")
         m = self.ladder_halfwidth
         if m < abs(self.nu) + 3:
             raise ValueError(

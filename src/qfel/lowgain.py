@@ -33,6 +33,7 @@ from .core import (
     FelParams,
     LadderState,
     Trace,
+    _is_integer,
     _positive_bracket,
     boxcar_smooth,
     first_maximum,
@@ -61,52 +62,57 @@ SUPPORTED_ORDERS: Dict[int, tuple[int, ...]] = {1: (1, 2, 3), 2: (2, 4), 3: (1, 
 
 @dataclass(frozen=True)
 class LowGainModel:
-    """A low-gain scenario: parameters plus the dynamical route to use."""
+    """A low-gain scenario, and the one place that decides its run.
+
+    ``variant`` is ``"full_hamiltonian"`` or ``"effective"`` (nu = 1, 2, 3
+    only).  ``order`` is the effective model's expansion order, an integer in
+    ``SUPPORTED_ORDERS[nu]``; ``None`` selects the resonance's highest
+    tabulated order and stores it here.  The full Hamiltonian has no
+    expansion, so it refuses any order.
+    """
 
     params: FelParams
     variant: str = "full_hamiltonian"  # "full_hamiltonian" | "effective"
+    order: int | None = None
 
     def __post_init__(self) -> None:
         if self.params.context != "low":
             raise ValueError("LowGainModel requires params in the low-gain context")
         if self.variant not in ("full_hamiltonian", "effective"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "effective":
-            self.resolve_order()  # validates nu/order up front
-
-    def resolve_order(self) -> int:
+        if self.variant == "full_hamiltonian":
+            if self.order is not None:
+                raise ValueError(f"the full Hamiltonian has no expansion order, got {self.order}")
+            return
         nu = self.params.nu
         if nu not in SUPPORTED_ORDERS:
-            raise ValueError(
-                f"no effective model for resonance nu = {nu}; supported: 1, 2, 3"
-            )
+            raise ValueError(f"no effective model for resonance nu = {nu}; supported: 1, 2, 3")
         orders = SUPPORTED_ORDERS[nu]
-        order = self.params.order if self.params.order is not None else orders[-1]
-        if order not in orders:
-            raise ValueError(
-                f"resonance nu = {nu} supports expansion orders {orders}, got {order}"
-            )
-        return order
+        order = orders[-1] if self.order is None else self.order
+        if not _is_integer(order) or order not in orders:  # 2.0 and True compare equal to orders
+            raise ValueError(f"resonance nu = {nu} supports expansion orders {orders}, got {order}")
+        object.__setattr__(self, "order", order)  # frozen: resolved once, here
 
 
-def build_full_hamiltonian(params: FelParams, tau: float) -> np.ndarray:
-    """Interaction-picture ladder Hamiltonian H(tau) as a dense complex matrix.
+def build_full_hamiltonian(model: LowGainModel, tau: float) -> np.ndarray:
+    """Interaction-picture H(tau) of the model's params, as a dense complex matrix.
 
     Every nearest-neighbour entry (mu, mu+1) is ``alpha * exp(1j * (nu - 2*mu
     - 1) * tau)``: the transition from +nu*q/2 to +nu*q/2 - q is detuned by
     that amount, and exactly the pair symmetric about zero momentum is
-    stationary.  A negative ``params.nu`` builds the mirrored scenario
-    (initial momentum reflected).  ``propagate`` never needs this matrix; it
-    uses the static ``rotating_frame_hamiltonian`` instead.
+    stationary.  A negative ``nu`` builds the mirrored scenario (initial
+    momentum reflected).  ``propagate`` never needs this matrix; it uses the
+    static ``rotating_frame_hamiltonian`` instead.
     """
+    params = model.params
     m = params.ladder_halfwidth
     mus = np.arange(-m, m)  # row index of each (mu, mu+1) entry
     coupling = params.alpha * np.exp(1j * (params.nu - 2 * mus - 1) * tau)
     return np.diag(coupling, 1) + np.diag(coupling.conj(), -1)
 
 
-def rotating_frame_hamiltonian(params: FelParams) -> BandedHermitianOperator:
-    """Static frame equivalent of the full Hamiltonian.
+def rotating_frame_hamiltonian(model: LowGainModel) -> BandedHermitianOperator:
+    """Static frame equivalent of the full Hamiltonian of the model's params.
 
     Undoing the interaction-picture phases turns the oscillating couplings
     into a constant nearest-neighbour coupling ``alpha`` plus the kinetic
@@ -115,6 +121,7 @@ def rotating_frame_hamiltonian(params: FelParams) -> BandedHermitianOperator:
     here — are identical, while propagation becomes a single exact
     eigendecomposition instead of time stepping.
     """
+    params = model.params
     m = params.ladder_halfwidth
     size = 2 * m + 1
     mus = np.arange(-m, m + 1)
@@ -123,17 +130,19 @@ def rotating_frame_hamiltonian(params: FelParams) -> BandedHermitianOperator:
     return BandedHermitianOperator(size=size, bands={0: diag, 1: band1})
 
 
-def build_effective_hamiltonian(params: FelParams) -> BandedHermitianOperator:
-    """Static effective Hamiltonian of the resonance and order in ``params``.
+def build_effective_hamiltonian(model: LowGainModel) -> BandedHermitianOperator:
+    """Static effective Hamiltonian of the model's resonance and order.
 
     Supported expansion orders are 1-3 for nu = 1 and 3, and 2 or 4 for
-    nu = 2 (whose expansion has no odd terms); anything else is rejected
-    outright rather than silently truncated.  Level indices are ladder
+    nu = 2 (whose expansion has no odd terms); ``LowGainModel`` refuses any
+    other rather than truncating it silently.  Level indices are ladder
     indices (level mu holds momentum nu*q/2 - mu*q).  The infinite
     level-shift sums are truncated at the ladder bounds; the excluded tails
     only touch levels inside the reporting buffer.
     """
-    order = LowGainModel(params=params, variant="effective").resolve_order()
+    if model.variant != "effective":
+        raise ValueError(f"build_effective_hamiltonian needs an effective model, got {model.variant!r}")
+    params, order = model.params, model.order
     nu, alpha, m = params.nu, params.alpha, params.ladder_halfwidth
     size = 2 * m + 1
     bands = {0: np.zeros(size)}
@@ -195,11 +204,10 @@ def propagate(
     Returns a Trace over tau with columns ``dn_per_N``, ``norm``, ``energy``,
     and ``levels`` rows mu = -(M - EDGE_BUFFER) ... M - EDGE_BUFFER.
     """
-    params = model.params
     if model.variant == "full_hamiltonian":
-        op = rotating_frame_hamiltonian(params)
+        op = rotating_frame_hamiltonian(model)
     else:
-        op = build_effective_hamiltonian(params)
+        op = build_effective_hamiltonian(model)
     h = op.dense()
     if state.amplitudes.size != op.size:
         raise ValueError("state size does not match the model's ladder")
@@ -211,7 +219,7 @@ def propagate(
     psi[:, 0] = state.amplitudes  # the tau = 0 propagator is the identity, exactly
 
     probs = np.abs(psi) ** 2
-    m = params.ladder_halfwidth
+    m = model.params.ladder_halfwidth
     mus = np.arange(-m, m + 1)
     interior = np.abs(mus) <= m - EDGE_BUFFER
     columns = {
@@ -326,22 +334,23 @@ def ripple_period(params: FelParams) -> float:
 
     The couplings of ``build_full_hamiltonian`` rotate at nu - 2*mu - 1,
     whose smallest nonzero magnitude is 2 for odd nu and 1 for even nu, so
-    the period is pi or 2*pi.  This is the natural smoothing window when
-    locating slow-envelope extrema of a full-Hamiltonian trace: averaging
-    over one ripple period removes the fast oscillations without biasing the
-    envelope.
+    the period is pi or 2*pi.  ``fit_rabi_frequency`` smooths a
+    full-Hamiltonian trace over one such period: that removes the fast
+    oscillations without biasing the envelope.
     """
     return np.pi if params.nu % 2 else 2.0 * np.pi
 
 
-def fit_rabi_frequency(trace: Trace, smooth_window: float = 0.0) -> float:
-    """Effective oscillation frequency from the first maximum of a gain trace.
+def fit_rabi_frequency(trace: Trace, model: LowGainModel) -> float:
+    """Effective oscillation frequency from the first maximum of the model's gain trace.
 
     For a gain of the form sin^2(omega * x) the first maximum sits at
-    omega * x = pi/2, so the estimator is pi / (2 * x_max).  Pass a smoothing
-    window (one ripple period) when the trace carries fast off-resonant
-    ripple on top of the envelope.  Raises if the trace contains no interior
-    maximum.
+    omega * x = pi/2, so the estimator is pi / (2 * x_max).  A
+    full-Hamiltonian trace carries fast off-resonant ripple on top of the
+    envelope and is first smoothed over one ``ripple_period``; an effective
+    model's trace has none and is fitted as it stands.  Raises if the trace
+    contains no interior maximum.
     """
-    ext = first_maximum(*boxcar_smooth(trace.x, trace.column("dn_per_N"), smooth_window))
+    window = ripple_period(model.params) if model.variant == "full_hamiltonian" else 0.0
+    ext = first_maximum(*boxcar_smooth(trace.x, trace.column("dn_per_N"), window))
     return float(np.pi / (2.0 * ext.position))

@@ -40,7 +40,6 @@ from .lowgain import (
     gain_frequency,
     momentum_label_to_level,
     propagate,
-    ripple_period,
     rotating_frame_hamiltonian,
 )
 from .specfun import elliptic_K, jacobi_cn
@@ -135,7 +134,7 @@ def check_low_gain_peaks(ctx: ValidationContext) -> CheckResult:
     for nu in (1, 2, 3):
         trace = ctx.low_full_trace(nu)
         raw = first_maximum(trace.x, trace.column("dn_per_N"))
-        freq = fit_rabi_frequency(trace, smooth_window=ripple_period(_low_params(nu)))
+        freq = fit_rabi_frequency(trace, LowGainModel(params=_low_params(nu)))
         gates += [
             Gate(f"nu={nu} amp-{nu}", raw.amplitude - nu, 0.1),
             Gate(f"nu={nu} phase dev", freq / gain_frequency(nu, alpha) - 1.0, phase_tol[nu]),
@@ -297,12 +296,12 @@ def check_dense_oracle_equivalence(ctx: ValidationContext) -> CheckResult:
         # V the static coupling; populations do not see the diagonal factor,
         # so the full Hamiltonian's oracle is its static rotating frame.
         # Both oracles sample rows of the trace's axis, tau = 0, 1, ..., 8.
+        full, effective = LowGainModel(params=params), LowGainModel(params=params, variant="effective")
         routes = (
-            ("full_hamiltonian", rotating_frame_hamiltonian(params), slice(1, None)),
-            ("effective", build_effective_hamiltonian(params), [3, 8]),
+            (full, rotating_frame_hamiltonian(full), slice(1, None)),
+            (effective, build_effective_hamiltonian(effective), [3, 8]),
         )
-        for variant, op, rows in routes:
-            model = LowGainModel(params=params, variant=variant)
+        for model, op, rows in routes:
             trace = propagate(model, LadderState.initial(params), 8.0, 9)
             oracle = _expm_populations(op.dense(), params.ladder_halfwidth, trace.x[rows])[:, EDGE_BUFFER:-EDGE_BUFFER]
             worst_low = max(worst_low, float(np.max(np.abs(trace.levels.T[rows] - oracle))))

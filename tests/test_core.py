@@ -46,15 +46,13 @@ class TestFelParams:
             {"alpha": 0.25, "nu": True},  # bool is an Integral, but not an integer here
             {"alpha": 0.25, "N": True, "context": "high"},
             {"alpha": 0.25, "M": True},
-            {"alpha": 0.25, "order": True},
-            {"alpha": 0.25, "order": 2.0},  # integral value, but not an integer
         ],
     )
     def test_rejections(self, kwargs):
         with pytest.raises(ValueError):
             FelParams(**kwargs)
 
-    @pytest.mark.parametrize("field", ["nu", "N", "M", "order"])
+    @pytest.mark.parametrize("field", ["nu", "N", "M"])
     def test_bool_is_refused_as_an_integer(self, field):
         # M = True would also fall below |nu| + 3; the message names the integer rule.
         with pytest.raises(ValueError, match=f"^{field} must be an? .*integer, got True"):

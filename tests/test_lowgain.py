@@ -28,11 +28,79 @@ def _params(nu, alpha=0.25, **kw):
     return FelParams(alpha=alpha, nu=nu, context="low", **kw)
 
 
+def _full(nu, alpha=0.25, **kw):
+    return LowGainModel(params=_params(nu, alpha, **kw))
+
+
+def _effective(nu, alpha=0.25, order=None, **kw):
+    return LowGainModel(params=_params(nu, alpha, **kw), variant="effective", order=order)
+
+
+class TestLowGainModel:
+    """The one boundary of a low-gain run: regime, variant and expansion order."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"variant": "effective", "order": True},  # bool is an Integral, but not an integer here
+            {"variant": "effective", "order": 2.0},  # integral value, but not an integer
+            {"variant": "effective", "order": 0},
+            {"variant": "mean_field"},
+        ],
+        ids=["order-True", "order-2.0", "order-0", "mean_field"],
+    )
+    def test_rejections(self, kwargs):
+        with pytest.raises(ValueError):
+            LowGainModel(params=_params(1), **kwargs)
+
+    @pytest.mark.parametrize("order", [True, 2.0])
+    def test_order_must_be_an_integer(self, order):
+        # 2.0 and True compare equal to tabulated orders, so they need refusing by type.
+        with pytest.raises(ValueError, match=f"^resonance nu = 2 supports expansion orders \\(2, 4\\), got {order}$"):
+            _effective(2, order=order)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, True])
+    def test_full_hamiltonian_refuses_any_order(self, order):
+        with pytest.raises(ValueError, match=f"^the full Hamiltonian has no expansion order, got {order}$"):
+            LowGainModel(params=_params(1), order=order)
+
+    def test_effective_order_defaults_to_the_highest_tabulated(self):
+        for nu, orders in SUPPORTED_ORDERS.items():
+            assert _effective(nu).order == orders[-1]
+            assert _effective(nu, order=orders[0]).order == orders[0]
+        assert _full(2).order is None
+
+    def test_order_left_felparams(self):
+        with pytest.raises(TypeError, match="order"):
+            FelParams(alpha=0.25, order=3)
+
+    def test_high_gain_params_build_no_ladder(self):
+        # Every builder takes the model, and the model refuses high-gain
+        # params, so no route hands back a ladder built from alpha_N.
+        high = FelParams(alpha=0.25, nu=1, context="high")
+        routes = (
+            lambda model: build_full_hamiltonian(model, 0.0),
+            rotating_frame_hamiltonian,
+            build_effective_hamiltonian,
+            lambda model: propagate(model, LadderState.initial(high), 1.0, 3),
+        )
+        for route in routes:
+            for variant in ("full_hamiltonian", "effective"):
+                with pytest.raises(ValueError, match="^LowGainModel requires params in the low-gain context$"):
+                    route(LowGainModel(params=high, variant=variant))
+            with pytest.raises(AttributeError):  # bare params are no model
+                route(high)
+
+    def test_effective_builder_refuses_a_full_model(self):
+        with pytest.raises(ValueError, match="needs an effective model, got 'full_hamiltonian'"):
+            build_effective_hamiltonian(_full(1))
+
+
 class TestFullHamiltonian:
     def test_structure_and_resonant_pair(self):
-        p = _params(1, M=5)
+        model = _full(1, M=5)
         tau = 0.1
-        h = build_full_hamiltonian(p, tau)
+        h = build_full_hamiltonian(model, tau)
         assert h.shape == (11, 11)
         coupling = np.diag(h, 1)
         assert np.allclose(np.abs(coupling), 0.25)
@@ -40,15 +108,16 @@ class TestFullHamiltonian:
         # Phase frequencies nu - 2mu - 1 at nu = 1; |2mu| * tau stays below pi.
         assert np.allclose(np.angle(coupling) / tau, -2.0 * mus)
         # Exactly the (0, 1) transition is stationary for nu = 1 ...
-        stationary = coupling == np.diag(build_full_hamiltonian(p, 0.0), 1)
+        stationary = coupling == np.diag(build_full_hamiltonian(model, 0.0), 1)
         assert stationary[5]
         assert np.count_nonzero(stationary) == 1
         # ... and no single-step transition is stationary for nu = 2.
-        p2 = _params(2, M=5)
-        assert np.all(np.diag(build_full_hamiltonian(p2, tau), 1) != np.diag(build_full_hamiltonian(p2, 0.0), 1))
+        model2 = _full(2, M=5)
+        assert np.all(np.diag(build_full_hamiltonian(model2, tau), 1) != np.diag(build_full_hamiltonian(model2, 0.0), 1))
 
     def test_dense_matches_explicit_matrix(self):
-        p = _params(2, M=5)
+        model = _full(2, M=5)
+        p = model.params
         tau = 0.83
         m = 5
         expected = np.zeros((11, 11), dtype=complex)
@@ -56,19 +125,18 @@ class TestFullHamiltonian:
             entry = p.alpha * np.exp(1j * (p.nu - 2 * mu - 1) * tau)
             expected[row, row + 1] = entry
             expected[row + 1, row] = np.conj(entry)
-        assert np.allclose(build_full_hamiltonian(p, tau), expected, atol=1e-15)
+        assert np.allclose(build_full_hamiltonian(model, tau), expected, atol=1e-15)
 
     @pytest.mark.parametrize("tau", [0.0, 0.7, 2.31])
     def test_full_hamiltonian_is_hermitian(self, tau):
-        h = build_full_hamiltonian(_params(3, M=7), tau)
+        h = build_full_hamiltonian(_full(3, M=7), tau)
         assert np.array_equal(h, h.conj().T)
 
     def test_rotating_frame_has_kinetic_diagonal(self):
-        p = _params(3, M=6)
-        op = rotating_frame_hamiltonian(p)
+        op = rotating_frame_hamiltonian(_full(3, M=6))
         mus = np.arange(-6, 7)
         assert np.allclose(op.bands[0], (1.5 - mus) ** 2)
-        assert np.allclose(op.bands[1], p.alpha)
+        assert np.allclose(op.bands[1], 0.25)
         assert op.dense().dtype == np.float64
 
 
@@ -76,25 +144,23 @@ class TestRouteAgreement:
     def test_full_propagation_matches_direct_ode_integration(self):
         # The static-frame shortcut must reproduce brute-force integration
         # of the oscillating-coupling Hamiltonian, population by population.
-        p = _params(1, alpha=0.3, M=6)
+        model = _full(1, alpha=0.3, M=6)
         psi0 = np.zeros(13, dtype=complex)
         psi0[6] = 1.0
         taus = np.linspace(0.0, 6.0, 7)
-        reference = ode_populations(lambda tau: build_full_hamiltonian(p, tau), psi0, taus)
-        model = LowGainModel(params=p, variant="full_hamiltonian")
-        trace = propagate(model, LadderState.initial(p), 6.0, 7)
+        reference = ode_populations(lambda tau: build_full_hamiltonian(model, tau), psi0, taus)
+        trace = propagate(model, LadderState.initial(model.params), 6.0, 7)
         # levels holds mu = -4 ... 4, ladder indices 2 ... 10.
         assert trace.levels.T[1:] == pytest.approx(reference[1:, 2:11], abs=1e-9)
 
     def test_effective_propagation_matches_expm_oracle(self):
-        p = _params(2, alpha=0.25, M=6)
-        op = build_effective_hamiltonian(p)
+        model = _effective(2, alpha=0.25, M=6)
+        op = build_effective_hamiltonian(model)
         psi0 = np.zeros(13, dtype=complex)
         psi0[6] = 1.0
         taus = [0.0, 4.0, 8.0]
         reference = expm_populations(op, psi0, taus)
-        model = LowGainModel(params=p, variant="effective")
-        trace = propagate(model, LadderState.initial(p), 8.0, 3)
+        trace = propagate(model, LadderState.initial(model.params), 8.0, 3)
         assert trace.levels.T[1:] == pytest.approx(reference[1:, 2:11], abs=1e-10)
 
     @pytest.mark.parametrize("nu", [1, 2, 3])
@@ -135,7 +201,7 @@ class TestRouteAgreement:
 class TestEffectiveHamiltonian:
     def test_first_resonance_matrix_elements(self):
         alpha, m = 0.25, 6
-        op = build_effective_hamiltonian(_params(1, alpha=alpha, M=m))
+        op = build_effective_hamiltonian(_effective(1, alpha=alpha, M=m))
         diag = op.bands[0]
 
         def d(mu):
@@ -155,7 +221,7 @@ class TestEffectiveHamiltonian:
 
     def test_second_resonance_matrix_elements(self):
         alpha, m = 0.2, 6
-        low = build_effective_hamiltonian(_params(2, alpha=alpha, M=m, order=2))
+        low = build_effective_hamiltonian(_effective(2, alpha=alpha, order=2, M=m))
         diag = low.bands[0]
         for mu in (-2, -1, 0, 1, 2, 3):
             expected = 2.0 * alpha**2 / ((2 * mu - 3) * (2 * mu - 1))
@@ -163,7 +229,7 @@ class TestEffectiveHamiltonian:
         assert low.bands[2][0 + m] == pytest.approx(alpha**2)
         assert 1 not in low.bands or not np.any(low.bands[1])
 
-        high = build_effective_hamiltonian(_params(2, alpha=alpha, M=m, order=4))
+        high = build_effective_hamiltonian(_effective(2, alpha=alpha, order=4, M=m))
         assert high.bands[2][0 + m] == pytest.approx(alpha**2 - (16.0 / 9.0) * alpha**4)
         assert high.bands[4][-1 + m] == pytest.approx(alpha**4 / 36.0)
 
@@ -173,8 +239,8 @@ class TestEffectiveHamiltonian:
         # of the level just below the nu = 1 ladder.
         alpha, m = 0.25, 7
         for order in SUPPORTED_ORDERS[3]:
-            op1 = build_effective_hamiltonian(_params(1, alpha=alpha, M=m, order=order))
-            op3 = build_effective_hamiltonian(_params(3, alpha=alpha, M=m, order=order))
+            op1 = build_effective_hamiltonian(_effective(1, alpha=alpha, order=order, M=m))
+            op3 = build_effective_hamiltonian(_effective(3, alpha=alpha, order=order, M=m))
             assert list(op3.bands) == list(op1.bands)
             for d, band in op1.bands.items():
                 assert np.array_equal(op3.bands[d][1:], band[:-1]), (order, d)
@@ -183,16 +249,16 @@ class TestEffectiveHamiltonian:
 
     def test_unsupported_orders_are_rejected(self):
         with pytest.raises(ValueError, match="orders"):
-            build_effective_hamiltonian(_params(2, order=3))
+            _effective(2, order=3)
         with pytest.raises(ValueError, match="orders"):
-            build_effective_hamiltonian(_params(1, order=4))
+            _effective(1, order=4)
         with pytest.raises(ValueError, match="resonance"):
-            build_effective_hamiltonian(_params(4))
+            _effective(4)
         assert SUPPORTED_ORDERS == {1: (1, 2, 3), 2: (2, 4), 3: (1, 2, 3)}
 
     def test_order_one_first_resonance_is_exact_rabi(self):
         p = _params(1, alpha=0.25)
-        model = LowGainModel(params=_params(1, alpha=0.25, order=1), variant="effective")
+        model = _effective(1, alpha=0.25, order=1)
         trace = propagate(model, LadderState.initial(p), 30.0, 601)
         expected = np.sin(0.25 * trace.x) ** 2
         assert np.max(np.abs(trace.column("dn_per_N") - expected)) < 1e-12
@@ -292,13 +358,23 @@ class TestClosedForms:
 
 
 class TestEstimators:
+    def test_fit_window_comes_from_the_model(self):
+        # Ripple at frequency 2 (period pi, the nu = 1 full-Hamiltonian ripple)
+        # shifts the raw first maximum; the full model's fit smooths it away.
+        x = np.linspace(0.0, 20.0, 4001)
+        trace = Trace(x=x, columns={"dn_per_N": np.sin(0.2 * x) ** 2 + 0.05 * np.sin(2.0 * x)})
+        smoothed = fit_rabi_frequency(trace, _full(1))
+        raw = fit_rabi_frequency(trace, _effective(1))
+        assert smoothed == pytest.approx(0.2, rel=1e-3)
+        assert abs(raw / 0.2 - 1.0) > 10 * abs(smoothed / 0.2 - 1.0)
+
     def test_ripple_periods(self):
         for nu in (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5):
             for m in (None, abs(nu) + 3, 30):
                 p = _params(nu, M=m)
                 # Slowest nonzero transition frequency |k_mu - k_(mu+1)| between
                 # neighbouring kinetic levels; these are exact integers.
-                freqs = np.abs(np.diff(rotating_frame_hamiltonian(p).bands[0]))
+                freqs = np.abs(np.diff(rotating_frame_hamiltonian(LowGainModel(params=p)).bands[0]))
                 scanned = 2.0 * np.pi / freqs[freqs > 0].min()
                 assert ripple_period(p) == scanned, f"nu={nu} M={m}"
                 assert ripple_period(p) == (np.pi if nu % 2 else 2.0 * np.pi)
@@ -306,20 +382,20 @@ class TestEstimators:
     def test_fit_rabi_frequency_on_synthetic_trace(self):
         x = np.linspace(0.0, 20.0, 4001)
         trace = Trace(x=x, columns={"dn_per_N": np.sin(0.2 * x) ** 2})
-        assert fit_rabi_frequency(trace) == pytest.approx(0.2, rel=1e-6)
+        # An effective model's trace carries no ripple, so it is fitted unsmoothed.
+        assert fit_rabi_frequency(trace, _effective(1)) == pytest.approx(0.2, rel=1e-6)
 
     def test_fitted_frequency_tracks_closed_form(self):
-        p = _params(1, alpha=0.25)
+        model = _full(1, alpha=0.25)
         tau_end = 1.05 * np.pi / gain_frequency(1, 0.25)
-        trace = propagate(LowGainModel(params=p), LadderState.initial(p), tau_end, 4001)
-        fitted = fit_rabi_frequency(trace, smooth_window=ripple_period(p))
+        trace = propagate(model, LadderState.initial(model.params), tau_end, 4001)
+        fitted = fit_rabi_frequency(trace, model)
         assert fitted == pytest.approx(gain_frequency(1, 0.25), rel=0.02)
 
     def test_gain_from_state_matches_trace_endpoint(self):
-        p = _params(1, alpha=0.25, M=6)
-        model = LowGainModel(params=p)
-        trace = propagate(model, LadderState.initial(p), 4.0, 5)
-        op = rotating_frame_hamiltonian(p)
+        model = _full(1, alpha=0.25, M=6)
+        trace = propagate(model, LadderState.initial(model.params), 4.0, 5)
+        op = rotating_frame_hamiltonian(model)
         w, v = np.linalg.eigh(op.dense())
         psi0 = np.zeros(13, dtype=complex)
         psi0[6] = 1.0
