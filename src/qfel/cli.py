@@ -228,10 +228,13 @@ _SWEEP_HEADER = [
 ]
 
 
-def _sweep_point_low(
-    alpha: float, n0: float, nu: int, electrons: int, variant: str, end: float | None, samples: int
-) -> list:
-    row: list = [alpha, n0, electrons, nu, math.nan, math.nan, math.nan, math.nan, math.nan, ""]
+def _sweep_row(alpha: float, n0: float, electrons: int, nu: int) -> list:
+    """One sweep row before its point runs: the grid values, NaN results, an empty error cell."""
+    return [alpha, n0, electrons, nu, math.nan, math.nan, math.nan, math.nan, math.nan, ""]
+
+
+def _sweep_point_low(alpha: float, nu: int, variant: str, end: float | None, samples: int) -> list:
+    row = _sweep_row(alpha, 0.0, 1, nu)
     try:
         params = FelParams(alpha=alpha, nu=nu, context="low")
         model = LowGainModel(params=params, variant=variant)
@@ -247,7 +250,7 @@ def _sweep_point_low(
 
 
 def _sweep_point_high(alpha: float, n0: float, nu: int, electrons: int) -> list:
-    row: list = [alpha, n0, electrons, nu, math.nan, math.nan, math.nan, math.nan, math.nan, ""]
+    row = _sweep_row(alpha, n0, electrons, nu)
     try:
         params = FelParams(alpha=alpha, nu=nu, n0=n0, N=electrons, context="high")
     except Exception as err:  # noqa: BLE001
@@ -307,12 +310,11 @@ def run_sweep(
         n0, electrons = (0.0,), 1
         resonance = (1, 2, 3) if resonance is None else resonance
         variant = "full_hamiltonian" if variant is None else variant
-        if variant not in ("full_hamiltonian", "effective"):
-            raise ValueError(
-                f"low-gain sweep variant must be 'full_hamiltonian' or 'effective', got {variant!r}"
-            )
+        if variant not in LowGainModel.VARIANTS:
+            choices = " or ".join(map(repr, LowGainModel.VARIANTS))
+            raise ValueError(f"low-gain sweep variant must be {choices}, got {variant!r}")
         samples = 2001 if samples is None else samples
-        rows = [_sweep_point_low(a, 0.0, nu, 1, variant, end, samples) for a in alpha for nu in resonance]
+        rows = [_sweep_point_low(a, nu, variant, end, samples) for a in alpha for nu in resonance]
         regime_meta = {"variant": variant, "end": "auto" if end is None else end, "samples": samples}
     elif regime == "high":
         n0 = (1000.0,) if n0 is None else n0

@@ -55,8 +55,8 @@ VARIANTS: Dict[int, tuple[str, ...]] = {
     2: ("dicke_only", "full_second_order"),
 }
 
-#: Bytes of the (N+1)^2 eigenvector matrix up to which ``"auto"`` takes the
-#: eigendecomposition route (N <= 11584); beyond it Chebyshev takes over.  A
+#: Bytes of the (N+1)^2 eigenvector matrix up to which ``propagate_dicke`` takes
+#: the eigendecomposition route (N <= 11584); beyond it Chebyshev takes over.  A
 #: constant, not the host's free memory, so every machine takes the same route.
 EIGH_BYTES = 2**30
 
@@ -345,42 +345,35 @@ def _block_observables(
     return n, norm, energy, probs
 
 
-def propagate_dicke(
-    model: HighGainModel,
-    ell_end: float,
-    sample_count: int = 801,
-    method: str = "auto",
-    keep_probabilities: bool = False,
-) -> Trace:
+def propagate_dicke(model: HighGainModel, ell_end: float, sample_count: int = 801) -> Trace:
     """Photon number n(ell) from the seeded Fock state, with conservation audit.
 
-    Methods: ``"eigh"`` diagonalizes the tridiagonal once and is exact in
-    ell (default while its eigenvectors fit in ``EIGH_BYTES``, up to
-    N = 11584); ``"chebyshev"`` is a polynomial series with O(N) memory, set
-    up once per call.  Each only supplies amplitudes, and one loop turns them
-    into the observables.  Both must conserve norm and energy to 1e-8 over
-    figure-length runs — that is the gate, not the method.
+    N alone picks the route, and no call can override it: one
+    eigendecomposition, exact in ell, while its (N+1)^2 eigenvectors fit in
+    ``EIGH_BYTES`` (up to N = 11584), else a Chebyshev series with O(N)
+    memory.  Both must conserve norm and energy to 1e-8 over figure-length
+    runs — that is the gate, not the route.
 
     Returns a Trace over ell = L/L_g with columns ``n``, ``norm``, ``energy``.
-    With ``keep_probabilities`` the trace's ``levels`` holds the population of
-    every level, rows mu = 0 ... N; that grows as (N+1) x sample_count, so it
-    is meant for small systems (oracle cross-checks), not figure-scale runs.
+    """
+    fits = 8 * (model.params.N + 1) ** 2 <= EIGH_BYTES
+    return _propagate_dicke(model, ell_end, sample_count, _eigh_blocks if fits else _chebyshev_blocks)
+
+
+def _propagate_dicke(model: HighGainModel, ell_end: float, sample_count: int, blocks, keep_levels=False) -> Trace:
+    """``propagate_dicke``'s observables from the amplitudes of ``_eigh_blocks`` or ``_chebyshev_blocks``.
+
+    With ``keep_levels`` the trace's ``levels`` holds every level's population,
+    rows mu = 0 ... N: (N+1) x sample_count, for oracle cross-checks only.
     """
     p = model.params
     steps = sample_axis(ell_end, sample_count)
     bands = build_dicke_tridiagonal(model).bands
     d, a = bands[0], bands[1]
     mus = np.arange(p.N + 1, dtype=float)
-
-    if method == "auto":
-        method = "eigh" if 8 * (p.N + 1) ** 2 <= EIGH_BYTES else "chebyshev"
-    routes = {"eigh": _eigh_blocks, "chebyshev": _chebyshev_blocks}
-    if method not in routes:
-        raise ValueError(f"unknown method {method!r}")
-
     n_out, norm_out, energy_out = np.empty((3, sample_count))
-    prob_out = np.empty((p.N + 1, sample_count)) if keep_probabilities else None
-    for sl, cr, ci, scratch in routes[method](d, a, steps):
+    prob_out = np.empty((p.N + 1, sample_count)) if keep_levels else None
+    for sl, cr, ci, scratch in blocks(d, a, steps):
         n_out[sl], norm_out[sl], energy_out[sl], probs = _block_observables(
             cr, ci, scratch, mus, a, d, p.n0, p.nu
         )
@@ -391,11 +384,10 @@ def propagate_dicke(
     norm_out[0] = 1.0
     n_out[0] = float(p.n0)
     energy_out[0] = float(d[0])
-    columns = {"n": n_out, "norm": norm_out, "energy": energy_out}
     if prob_out is not None:
         prob_out[:, 0] = 0.0
         prob_out[0, 0] = 1.0
-    return Trace(x=steps, columns=columns, levels=prob_out)
+    return Trace(x=steps, columns={"n": n_out, "norm": norm_out, "energy": energy_out}, levels=prob_out)
 
 
 def analytic_n_first(

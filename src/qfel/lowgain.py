@@ -23,7 +23,7 @@ every reported number unchanged at the 1e-8 level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import ClassVar, Dict
 
 import numpy as np
 
@@ -64,21 +64,22 @@ SUPPORTED_ORDERS: Dict[int, tuple[int, ...]] = {1: (1, 2, 3), 2: (2, 4), 3: (1, 
 class LowGainModel:
     """A low-gain scenario, and the one place that decides its run.
 
-    ``variant`` is ``"full_hamiltonian"`` or ``"effective"`` (nu = 1, 2, 3
-    only).  ``order`` is the effective model's expansion order, an integer in
-    ``SUPPORTED_ORDERS[nu]``; ``None`` selects the resonance's highest
-    tabulated order and stores it here.  The full Hamiltonian has no
-    expansion, so it refuses any order.
+    ``variant`` is one of ``VARIANTS``, the one list of them; ``"effective"``
+    covers nu = 1, 2, 3 only.  ``order`` is the effective model's expansion
+    order, an integer in ``SUPPORTED_ORDERS[nu]``; ``None`` selects the
+    resonance's highest tabulated order and stores it here.  The full
+    Hamiltonian has no expansion, so it refuses any order.
     """
 
+    VARIANTS: ClassVar[tuple[str, ...]] = ("full_hamiltonian", "effective")
     params: FelParams
-    variant: str = "full_hamiltonian"  # "full_hamiltonian" | "effective"
+    variant: str = "full_hamiltonian"
     order: int | None = None
 
     def __post_init__(self) -> None:
         if self.params.context != "low":
             raise ValueError("LowGainModel requires params in the low-gain context")
-        if self.variant not in ("full_hamiltonian", "effective"):
+        if self.variant not in self.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "full_hamiltonian":
             if self.order is not None:

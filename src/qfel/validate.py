@@ -17,10 +17,11 @@ traces) are computed once per process and shared across checks through
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
+from . import highgain
 from .core import EDGE_BUFFER, FelParams, LadderState, Trace, first_maximum
 from .highgain import (
     HighGainModel,
@@ -98,6 +99,10 @@ def _low_params(nu: int, alpha: float = 0.25, m_scale: int = 1) -> FelParams:
 _LOW_SAMPLES = {1: 4001, 2: 4001, 3: 8001}
 
 
+#: The collective-regime figures' scenario, given alpha and nu: FIG_N electrons, FIG_N0 seed photons.
+_collective_params = partial(FelParams, n0=FIG_N0, N=FIG_N, context="high")
+
+
 class ValidationContext:
     """Caches the expensive propagation runs shared between checks."""
 
@@ -118,10 +123,9 @@ class ValidationContext:
     def collective_trace(self, nu: int, variant: str, alpha: float) -> Trace:
         key = ("collective", nu, variant, alpha)
         if key not in self._cache:
-            params = FelParams(alpha=alpha, nu=nu, n0=FIG_N0, N=FIG_N, context="high")
             span = 6.5 if nu == 1 else 45.0
             samples = 401 if nu == 1 else 451
-            model = HighGainModel(params=params, variant=variant)
+            model = HighGainModel(params=_collective_params(alpha=alpha, nu=nu), variant=variant)
             self._cache[key] = propagate_dicke(model, span, samples)
         return self._cache[key]
 
@@ -169,7 +173,7 @@ def check_second_resonance_populations(ctx: ValidationContext) -> CheckResult:
 
 def check_first_resonance_collective(ctx: ValidationContext) -> CheckResult:
     """Collective first-resonance run against the elliptic closed form."""
-    params = FelParams(alpha=0.5, nu=1, n0=FIG_N0, N=FIG_N, context="high")
+    params = _collective_params(alpha=0.5, nu=1)
     trace = ctx.collective_trace(1, "third_order", 0.5)
     peak = first_maximum(trace.x, trace.column("n"))
     target = FIG_N0 + FIG_N
@@ -192,7 +196,7 @@ def check_first_resonance_collective(ctx: ValidationContext) -> CheckResult:
 
 def check_second_resonance_collective(ctx: ValidationContext) -> CheckResult:
     """Collective second-resonance run against the mean-field closed form."""
-    params = FelParams(alpha=0.25, nu=2, n0=FIG_N0, N=FIG_N, context="high")
+    params = _collective_params(alpha=0.25, nu=2)
     dicke = ctx.collective_trace(2, "dicke_only", 0.25)
     full = ctx.collective_trace(2, "full_second_order", 0.25)
     peak_d = first_maximum(dicke.x, dicke.column("n"))
@@ -212,7 +216,7 @@ def check_second_resonance_collective(ctx: ValidationContext) -> CheckResult:
 
 def check_mean_field_oracle(ctx: ValidationContext) -> CheckResult:
     """Integrated mean-field amplitudes against the closed form, with drifts."""
-    params = FelParams(alpha=0.25, nu=2, n0=FIG_N0, N=FIG_N, context="high")
+    params = _collective_params(alpha=0.25, nu=2)
     period = 2.0 * lmax_exact(params, 2)
     trace = integrate_semiclassical(params, period, 801)
     reference = analytic_n_second(trace.x, params)
@@ -311,8 +315,8 @@ def check_dense_oracle_equivalence(ctx: ValidationContext) -> CheckResult:
         params = FelParams(alpha=0.4, nu=nu, n0=3, N=16, context="high")
         model = HighGainModel(params=params, variant=variant)
         h = build_dicke_tridiagonal(model).dense()
-        for method in ("eigh", "chebyshev"):
-            trace = propagate_dicke(model, 12.0, 7, method=method, keep_probabilities=True)
+        for blocks in (highgain._eigh_blocks, highgain._chebyshev_blocks):
+            trace = highgain._propagate_dicke(model, 12.0, 7, blocks, keep_levels=True)
             oracle = _expm_populations(h, 0, trace.x)
             worst_high = max(worst_high, float(np.max(np.abs(trace.levels.T - oracle))))
 

@@ -1,6 +1,7 @@
 """Collective emission: tridiagonal dynamics, closed forms, length formulas."""
 
 import ctypes
+import inspect
 import tracemalloc
 import types
 from pathlib import Path
@@ -31,11 +32,15 @@ def _params(nu, alpha=0.25, n0=100.0, N=1000, **kw):
     return FelParams(alpha=alpha, nu=nu, n0=n0, N=N, context="high", **kw)
 
 
+def _on_route(model, span, samples, route, keep_levels=False):
+    """``propagate_dicke``'s body on the named route, "eigh" or "chebyshev", whatever N is."""
+    return highgain._propagate_dicke(model, span, samples, getattr(highgain, f"_{route}_blocks"), keep_levels)
+
+
 def _assert_eigh_matches_chebyshev(model, span, samples):
     """Both routes agree per level to 1e-9, and on n/norm/energy to 1e-10 of scale."""
-    kwargs = dict(sample_count=samples, keep_probabilities=True)
-    t1 = propagate_dicke(model, span, method="eigh", **kwargs)
-    t2 = propagate_dicke(model, span, method="chebyshev", **kwargs)
+    t1 = _on_route(model, span, samples, "eigh", keep_levels=True)
+    t2 = _on_route(model, span, samples, "chebyshev", keep_levels=True)
     assert np.max(np.abs(t1.levels - t2.levels)) < 1e-9, samples
     for name in ("n", "norm", "energy"):
         ref = t1.column(name)
@@ -298,7 +303,7 @@ class TestWorkColumns:
         monkeypatch.setattr(highgain, "eigh_tridiagonal", recording)
         tracemalloc.start()
         try:
-            propagate_dicke(model, 45.0, 2001, method="eigh")
+            _on_route(model, 45.0, 2001, "eigh")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -333,10 +338,10 @@ class TestWorkColumns:
 
 
 class TestPropagation:
-    @pytest.mark.parametrize("method", ["eigh", "chebyshev"])
-    def test_seed_row_is_exact(self, method):
+    @pytest.mark.parametrize("route", ["eigh", "chebyshev"])
+    def test_seed_row_is_exact(self, route):
         model = HighGainModel(params=_params(2, n0=7.0, N=30), variant="full_second_order")
-        trace = propagate_dicke(model, 10.0, 21, method=method)
+        trace = _on_route(model, 10.0, 21, route)
         d = build_dicke_tridiagonal(model).bands[0]
         assert trace.column("n")[0] == 7.0
         assert trace.column("norm")[0] == 1.0
@@ -385,7 +390,7 @@ class TestPropagation:
             assert (support[0], support[-1] + 1) == rows
             assert highgain._gemm_pieces(support, v.shape[0], 256) == pieces
             # 300 samples: two 128-sample GEMM blocks and a 44-sample tail.
-            trace = propagate_dicke(model, span, 300, method="eigh")
+            trace = _on_route(model, span, 300, "eigh")
             ells = np.linspace(0.0, span, 300)
             c = v @ (np.exp(-1j * np.outer(w, ells)) * v[0][:, None])
             probs = np.abs(c) ** 2
@@ -407,7 +412,7 @@ class TestPropagation:
         monkeypatch.setattr(highgain, "eigh_tridiagonal", failing)
         model = HighGainModel(params=_params(1, n0=4.0, N=16), variant="third_order")
         with pytest.raises(RuntimeError, match="tridiagonal eigensolver failed: stemr info = 22"):
-            propagate_dicke(model, 6.0, 7, method="eigh")
+            _on_route(model, 6.0, 7, "eigh")
 
     def test_chebyshev_series_is_set_up_once_per_call(self, monkeypatch):
         # The samples are equally spaced, so one set of Bessel coefficients serves every step.
@@ -420,7 +425,7 @@ class TestPropagation:
 
         monkeypatch.setattr(highgain, "jv", counting_jv)
         model = HighGainModel(params=_params(1, n0=4.0, N=16), variant="third_order")
-        propagate_dicke(model, 6.0, 7, method="chebyshev")
+        _on_route(model, 6.0, 7, "chebyshev")
         assert len(calls) == 1
 
     def test_matches_dense_expm_oracle(self):
@@ -430,7 +435,7 @@ class TestPropagation:
         psi0[0] = 1.0
         ells = np.linspace(0.0, 9.0, 4)
         reference = expm_populations(op, psi0, ells)
-        trace = propagate_dicke(model, 9.0, 4, keep_probabilities=True)
+        trace = _on_route(model, 9.0, 4, "eigh", keep_levels=True)
         assert trace.levels.T == pytest.approx(reference, abs=1e-10)
 
     def test_norm_conserved_over_figure_length_run(self):
@@ -442,7 +447,7 @@ class TestPropagation:
 
     def test_kept_probabilities_are_consistent(self):
         model = HighGainModel(params=_params(1, n0=4.0, N=16), variant="third_order")
-        trace = propagate_dicke(model, 6.0, 11, keep_probabilities=True)
+        trace = _on_route(model, 6.0, 11, "eigh", keep_levels=True)
         probs = trace.levels
         assert np.allclose(probs.sum(axis=0), trace.column("norm"), atol=1e-12)
         # The reported photon number is the state's photon expectation.
@@ -468,8 +473,6 @@ class TestPropagation:
         model = HighGainModel(params=_params(2), variant="dicke_only")
         with pytest.raises(ValueError):
             propagate_dicke(model, 0.0)
-        with pytest.raises(ValueError, match="method"):
-            propagate_dicke(model, 1.0, method="magic")
 
     def test_auto_takes_eigh_only_while_its_eigenvectors_fit_the_byte_budget(self, monkeypatch):
         # Both routes yield no blocks, so only the choice runs: (N+1)^2 doubles
@@ -490,6 +493,10 @@ class TestPropagation:
         assert chosen == [
             (10_000, "eigh"), (11_584, "eigh"), (11_585, "chebyshev"), (20_000, "chebyshev"), (100_000, "chebyshev"),
         ]
+
+    def test_no_call_can_pick_the_route(self):
+        # The byte budget is the only way to eigh, so no call asks stemr for more.
+        assert list(inspect.signature(propagate_dicke).parameters) == ["model", "ell_end", "sample_count"]
 
 
 class TestRouteEquivalence:
@@ -549,10 +556,10 @@ class TestRouteEquivalence:
         reference = expm_populations(op, psi0, np.linspace(0.0, span, samples)).T
         s = model.params.nu
         n_reference = n0 * reference.sum(axis=0) + s * (np.arange(N + 1)[:, None] * reference).sum(axis=0)
-        for method in ("eigh", "chebyshev"):
-            trace = propagate_dicke(model, span, samples, method=method, keep_probabilities=True)
-            assert np.max(np.abs(trace.levels - reference)) <= tol, method
-            assert np.max(np.abs(trace.column("n") - n_reference)) <= (n0 + s * N) * tol, method
+        for route in ("eigh", "chebyshev"):
+            trace = _on_route(model, span, samples, route, keep_levels=True)
+            assert np.max(np.abs(trace.levels - reference)) <= tol, route
+            assert np.max(np.abs(trace.column("n") - n_reference)) <= (n0 + s * N) * tol, route
 
 
 class TestClosedForms:
@@ -723,3 +730,41 @@ class TestStrongSeedLimit:
         low_gain = N * np.sin(rabi_phase * (1.0 - alpha_n**2 / 4.0)) ** 2
         deviation = np.abs((trace.column("n") - n0) - low_gain) / trace.column("n")
         assert np.max(deviation) < 0.05
+
+
+class TestLargeNLimit:
+    # The collective closed forms are the N -> infinity limit of the Dicke
+    # ladder, so the worst pointwise gap e(N) = max |n - closed| / (nu N),
+    # at fixed n0/N, alpha and span, is an asymptotic series in 1/N:
+    # e(N) = (c / N) (1 + y(N) + O(1/N^2)) with y(N) = y0 (N0 / N).  The
+    # observed order p = log2(e(N) / e(2N)) is then
+    # 1 + log2((1 + y) / (1 + y/2)): 1 from the leading term, moved by the
+    # next correction, which halves at each doubling.  Taking N0 = 1000 as
+    # inside the asymptotic range, i.e. |y0| <= 1/2 (the correction at most
+    # half the leading term), bounds p at each doubling, and the bound
+    # tightens as N grows.  Validate's alpha, span and sample count per
+    # resonance, n0/N = 0.1.
+    CASES = [
+        (1, "first_order", 0.5, 6.5, 401, lambda x, p: analytic_n_first(x, p, order=1)),
+        (2, "dicke_only", 0.25, 45.0, 451, analytic_n_second),
+    ]
+
+    @staticmethod
+    def _band(N, y0=0.5, N0=1000):
+        y = y0 * N0 / N
+        return 1.0 + np.log2((1.0 - y) / (1.0 - y / 2.0)), 1.0 + np.log2((1.0 + y) / (1.0 + y / 2.0))
+
+    @pytest.mark.parametrize("nu, variant, alpha, span, samples, closed_form", CASES, ids=["nu1", "nu2"])
+    def test_gap_to_the_closed_form_falls_as_one_over_N(self, nu, variant, alpha, span, samples, closed_form):
+        sizes = (1000, 2000, 4000)
+        gaps = []
+        for N in sizes:
+            params = _params(nu, alpha=alpha, n0=0.1 * N, N=N)
+            trace = propagate_dicke(HighGainModel(params=params, variant=variant), span, samples)
+            gaps.append(np.max(np.abs(trace.column("n") - closed_form(trace.x, params))) / (nu * N))
+        orders = [np.log2(gaps[i] / gaps[i + 1]) for i in range(len(gaps) - 1)]
+        for N, p in zip(sizes, orders):
+            lo, hi = self._band(N)
+            assert lo <= p <= hi, (N, orders)
+        # The next correction falls with N, so p moves towards 1.
+        assert abs(orders[1] - 1.0) < abs(orders[0] - 1.0), orders

@@ -37,7 +37,9 @@ p = FelParams(alpha=0.25, nu=2, n0=10.0, N=50, context="high")
 p1 = FelParams(alpha=0.25, nu=1, n0=10.0, N=50, context="high")
 low = FelParams(alpha=0.25, nu=1, context="low")
 routes = {{
-    "chebyshev": lambda: propagate_dicke(HighGainModel(params=p, variant="dicke_only"), 1.0, 3, method="chebyshev"),
+    "chebyshev": lambda: qfel.highgain._propagate_dicke(
+        HighGainModel(params=p, variant="dicke_only"), 1.0, 3, qfel.highgain._chebyshev_blocks
+    ),
     "low_gain": lambda: propagate(LowGainModel(params=low, variant="effective"), LadderState.initial(low), 1.0, 3),
     "eigh": lambda: propagate_dicke(HighGainModel(params=p, variant="dicke_only"), 1.0, 3),
     "mean_field": lambda: integrate_semiclassical(p, 1.0, 3),

@@ -1,12 +1,20 @@
 """The validation layer's verdict rule: a check passes iff every gate passes."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from qfel import highgain
 from qfel.core import Trace
-from qfel.validate import CheckResult, Gate, check_second_resonance_collective
+from qfel.validate import (
+    CheckResult,
+    Gate,
+    ValidationContext,
+    check_dense_oracle_equivalence,
+    check_second_resonance_collective,
+)
 
 
 class TestGate:
@@ -76,3 +84,24 @@ def test_full_model_must_peak_strictly_lower_and_later(full, ordered):
     (gate,) = [gate for gate in result.gates if gate.label.endswith("not lower and later")]
     assert gate.passed == ordered
     assert gate.value == (0.0 if ordered else 1.0)
+
+
+def test_dense_oracle_check_runs_both_collective_routes_on_every_variant(monkeypatch):
+    # ``propagate_dicke`` picks eigh at every small N, so the check must
+    # reach the Chebyshev route past it: one call of each route per variant.
+    calls = Counter()
+
+    def counting(route):
+        original = getattr(highgain, f"_{route}_blocks")
+
+        def blocks(d, a, steps):
+            calls[route] += 1
+            return original(d, a, steps)
+
+        return blocks
+
+    for route in ("eigh", "chebyshev"):
+        monkeypatch.setattr(highgain, f"_{route}_blocks", counting(route))
+    result = check_dense_oracle_equivalence(ValidationContext())
+    assert calls == {"eigh": 4, "chebyshev": 4}
+    assert result.passed, result.line()
