@@ -235,8 +235,6 @@ def boxcar_smooth(x: np.ndarray, y: np.ndarray, window: float) -> tuple[np.ndarr
     extrema.  The returned abscissa is trimmed so every output sample averages
     a full window.
     """
-    if window <= 0:
-        return x, y
     dx = float(np.mean(np.diff(x)))
     k = max(1, int(round(window / dx)))
     if k % 2 == 0:

@@ -30,8 +30,8 @@ from typing import Dict, Iterator
 
 import numpy as np
 
-from .core import BandedHermitianOperator, FelParams, Trace, _positive_bracket, sample_axis
-from .specfun import elliptic_K, jacobi_cn, modulus_from_seed
+from .core import BandedHermitianOperator, FelParams, Trace, _is_integer, _positive_bracket, sample_axis
+from .specfun import elliptic_K, jacobi_cn
 
 __all__ = [
     "HighGainModel",
@@ -289,7 +289,7 @@ def _chebyshev_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Block
     half = 0.5 * (hi - lo)
     dt = steps[1] - steps[0]
     z = half * dt
-    degree = int(z + 25 + 12 * z ** (1.0 / 3.0)) if z > 0 else 25
+    degree = int(z + 25 + 12 * z ** (1.0 / 3.0))
     # Term k weighs exp(-i mid dt) (2 - delta_k0) (-i)^k J_k(z); (-i)^k is exact from its period.
     k = np.arange(degree + 1)
     weights = np.exp(-1j * mid * dt) * np.array([2.0, -2j, -2.0, 2j])[k % 4] * jv(k, z)
@@ -390,6 +390,18 @@ def _propagate_dicke(model: HighGainModel, ell_end: float, sample_count: int, bl
     return Trace(x=steps, columns={"n": n_out, "norm": norm_out, "energy": energy_out}, levels=prob_out)
 
 
+def _seed_ratio(params: FelParams) -> float:
+    """n0/N, after the one check of a collective closed form's params: high-gain (alpha is alpha_N) and seeded."""
+    if params.context != "high":
+        raise ValueError(f"the collective closed forms need high-gain params, got context {params.context!r}")
+    if not params.n0 > 0:  # at n0 = 0 the elliptic modulus is 1 and every length diverges
+        raise ValueError(f"the collective closed forms need a seeded field: n0 > 0, got {params.n0}")
+    r = float(params.seed_ratio)
+    if not np.isfinite(r * (r + 2.0)):
+        raise ValueError(f"n0 = {params.n0} is too large: (n0/N)(n0/N + 2) overflows")
+    return r
+
+
 def analytic_n_first(
     ell: np.ndarray | float, params: FelParams, order: int = 3
 ) -> np.ndarray | float:
@@ -398,13 +410,13 @@ def analytic_n_first(
     n(ell) = n0 + N cn^2( sqrt(1+n0/N) (ell/2) C - K(k), k ) with modulus
     k = (1+n0/N)^{-1/2}; the order-3 phase factor is
     C = 1 - (alpha^2/8)(1 + 2 n0/N), dropped at order 1.  The curve rises
-    from n0 to n0 + N and is periodic; a seedless field (n0 = 0) is rejected
-    because the modulus degenerates, and C <= 0 as in ``lmax_exact``.
+    from n0 to n0 + N and is periodic; ``_seed_ratio`` checks the params,
+    and C <= 0 is refused as in ``lmax_exact``.
     """
-    if order not in (1, 3):
-        raise ValueError("order must be 1 or 3")
-    r = params.seed_ratio
-    k = modulus_from_seed(params.n0, params.N)
+    if not _is_integer(order) or order not in (1, 3):  # True and 3.0 compare equal to orders
+        raise ValueError(f"order must be 1 or 3, got {order!r}")
+    r = _seed_ratio(params)
+    k = (1.0 + r) ** -0.5
     bigk = elliptic_K(k)
     corr = _first_resonance_phase_factor(params) if order == 3 else 1.0
     arg = np.sqrt(1.0 + r) * (np.asarray(ell, dtype=float) / 2.0) * corr - bigk
@@ -416,12 +428,9 @@ def analytic_n_second(ell: np.ndarray | float, params: FelParams) -> np.ndarray 
     """Closed-form photon number of the second resonance (mean-field).
 
     n(ell) = n0 (1 + n0/2N) / (cos^2 theta + n0/2N) with
-    theta = sqrt((n0/N)(n0/N + 2)) * alpha * ell / 2; periodic between n0 and
-    n0 + 2N.  Needs a seeded field (n0 > 0).
+    theta = sqrt((n0/N)(n0/N + 2)) * alpha * ell / 2; periodic between n0 and n0 + 2N.
     """
-    if params.n0 <= 0:
-        raise ValueError("the closed form needs a seeded field (n0 > 0)")
-    r = params.seed_ratio
+    r = _seed_ratio(params)
     x = params.n0 / (2.0 * params.N)
     theta = np.sqrt(r * (r + 2.0)) * params.alpha * np.asarray(ell, dtype=float) / 2.0
     return params.n0 * (1.0 + x) / (np.cos(theta) ** 2 + x)
@@ -434,6 +443,7 @@ def short_time_n_second(ell: np.ndarray | float, params: FelParams) -> np.ndarra
     exponential — a linear instability analysis cannot produce it.  Valid for
     ell well below the first-maximum length.
     """
+    _seed_ratio(params)
     ell = np.asarray(ell, dtype=float)
     return params.n0 * (1.0 + params.n0 * (params.alpha * ell) ** 2 / (2.0 * params.N))
 
@@ -452,8 +462,7 @@ def integrate_semiclassical(
 
     Returns a Trace over ell with columns ``n``, ``ndot``, ``A``, ``B``.
     """
-    if params.n0 <= 0:
-        raise ValueError("the mean-field route needs a seeded field (n0 > 0)")
+    _seed_ratio(params)
     if params.nu != 2:
         raise ValueError("the mean-field route models the second resonance (nu = 2)")
     ells = sample_axis(ell_end, sample_count)
@@ -549,13 +558,11 @@ def lmax_exact(params: FelParams, resonance: int) -> float:
     left its domain of validity, which is rejected rather than returned as
     a negative length.
     """
-    r = params.seed_ratio
+    r = _seed_ratio(params)
     if resonance == 1:
-        k = modulus_from_seed(params.n0, params.N)
+        k = (1.0 + r) ** -0.5
         corr = _first_resonance_phase_factor(params)
         return float(2.0 * elliptic_K(k) / (np.sqrt(1.0 + r) * corr))
     if resonance == 2:
-        if r <= 0:
-            raise ValueError("the second-resonance maximum needs a seeded field")
         return float(np.pi / (params.alpha * np.sqrt(r * (r + 2.0))))
     raise ValueError(f"resonance must be 1 or 2, got {resonance}")

@@ -149,8 +149,6 @@ def build_effective_hamiltonian(model: LowGainModel) -> BandedHermitianOperator:
     bands = {0: np.zeros(size)}
 
     def add(i: int, j: int, val: float) -> None:
-        if abs(i) > m or abs(j) > m:
-            return
         d, lo = abs(j - i), min(i, j)
         bands.setdefault(d, np.zeros(size - d))[lo + m] += val
 

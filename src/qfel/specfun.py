@@ -7,7 +7,7 @@ m = k**2, and mixing the two is the classic bug, so only this module squares k, 
 
 import numpy as np
 
-__all__ = ["elliptic_K", "jacobi_cn", "modulus_from_seed"]
+__all__ = ["elliptic_K", "jacobi_cn"]
 
 
 def _modulus(k: float) -> float:
@@ -40,15 +40,3 @@ def jacobi_cn(u: np.ndarray | float, k: float) -> np.ndarray | float:
     q = np.round(u / half_period)
     cn = ellipj(u - half_period * q, k * k)[1] * (1.0 - 2.0 * (q % 2.0))
     return float(cn) if u.ndim == 0 else cn
-
-
-def modulus_from_seed(n0: float, N: float) -> float:
-    """Modulus (1 + n0/N)**-1/2 entering the first-resonance photon solution.
-
-    A seedless field (n0 = 0) degenerates to k = 1, where the period diverges: rejected.
-    """
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    if not n0 > 0:
-        raise ValueError(f"the modulus needs a seeded field: n0 > 0, got {n0}")
-    return _modulus((1.0 + n0 / N) ** -0.5)

@@ -383,6 +383,17 @@ class TestSweepHigh:
             assert np.isnan(cols["max_position"][i])
             assert cols["error"][i] == f"resonance must be 1 or 2; got {nu}"
 
+    def test_an_overflowing_seed_ratio_is_refused_not_written_as_zero(self, tmp_path):
+        # (n0/N)(n0/N + 2) overflows, so the second-resonance length would be
+        # pi / inf = 0; the closed forms' boundary refuses the row instead.
+        out = tmp_path / "huge.csv"
+        argv = ["sweep", "--regime", "high", "--n0", "1e308", "--alpha", "0.2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        _, _, cols = _read_csv(out)
+        assert list(cols["resonance"]) == [1, 2]
+        assert all(np.isnan(cols["max_position"]))
+        assert all(e.startswith("n0 = 1e+308 is too large: (n0/N)(n0/N + 2) overflows") for e in cols["error"])
+
     def test_rejects_low_regime_only_flags(self, capsys):
         for flag, value in (("--variant", "dicke_only"), ("--end", "10"), ("--samples", "100")):
             assert cli.main(["sweep", "--regime", "high", flag, value]) == 2

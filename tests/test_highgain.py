@@ -585,8 +585,10 @@ class TestClosedForms:
 
     def test_first_resonance_validation(self):
         p = _params(1)
-        with pytest.raises(ValueError, match="order"):
-            analytic_n_first(1.0, p, order=2)
+        # True and 3.0 compare equal to an order but are not integers.
+        for bad in (2, True, 3.0):
+            with pytest.raises(ValueError, match=f"^order must be 1 or 3, got {bad!r}$"):
+                analytic_n_first(1.0, p, order=bad)
         with pytest.raises(ValueError, match="seed"):
             analytic_n_first(1.0, _params(1, n0=0.0))
         # The order-3 phase factor C = 1 - (alpha^2/8)(1 + 2 n0/N) is refused
@@ -623,6 +625,34 @@ class TestClosedForms:
         g1 = analytic_n_second(0.02, p) - p.n0
         g2 = analytic_n_second(0.04, p) - p.n0
         assert g2 / g1 == pytest.approx(4.0, rel=1e-4)
+
+
+class TestSeedBoundary:
+    # The five collective closed forms take bare FelParams; ``_seed_ratio`` is
+    # their one check of the regime and the seed.
+    CLOSED_FORMS = {
+        "analytic_n_first": lambda p: analytic_n_first(1.0, p),
+        "analytic_n_second": lambda p: analytic_n_second(1.0, p),
+        "short_time_n_second": lambda p: short_time_n_second(1.0, p),
+        "integrate_semiclassical": lambda p: integrate_semiclassical(p, 1.0, 5),
+        "lmax_exact_1": lambda p: lmax_exact(p, 1),
+        "lmax_exact_2": lambda p: lmax_exact(p, 2),
+    }
+    REFUSED = {
+        "low_context": (dict(n0=100.0, N=1000, context="low"), "need high-gain params, got context 'low'"),
+        "seedless": (dict(n0=0.0, N=1000, context="high"), "need a seeded field: n0 > 0, got 0.0"),
+        "overflowing_ratio": (dict(n0=1e308, N=1, context="high"), r"n0 = 1e\+308 is too large"),
+    }
+
+    @pytest.mark.parametrize("case", REFUSED)
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_refused_in_one_line_at_the_boundary(self, name, case):
+        kwargs, message = self.REFUSED[case]
+        params = FelParams(alpha=0.25, nu=2, **kwargs)
+        with pytest.raises(ValueError, match=message) as excinfo:
+            self.CLOSED_FORMS[name](params)
+        assert "\n" not in str(excinfo.value)
+        assert excinfo.traceback[-1].name == "_seed_ratio"
 
 
 class TestSemiclassical:
@@ -768,3 +798,54 @@ class TestLargeNLimit:
             assert lo <= p <= hi, (N, orders)
         # The next correction falls with N, so p moves towards 1.
         assert abs(orders[1] - 1.0) < abs(orders[0] - 1.0), orders
+
+    # validate's nu = 1 check holds the third_order model to the order-3
+    # closed form, which leaves out the model's mu-linear diagonal
+    # -(alpha/4)(n0 + mu (1 + 1/N)).  The peak amplitude deviation
+    # a(N) = peak / (n0 + N) - 1 then tends to a finite a_inf, not to 0.
+    # With the expansion above, a(N) = a_inf + (c/N)(1 + y(N)), the
+    # Richardson value R = 2 a(4000) - a(2000) misses a_inf by (c/N) y / 2
+    # at N = 2000, and D = a(2000) - a(4000) = (c/N)(1/2 + 3y/4).  With
+    # |y| <= 1/4 at N = 2000 that gives |R - a_inf| <= 0.4 |D|.
+
+    @staticmethod
+    def _third_order_runs():
+        """(amp dev, max |n - closed| / N) of third_order against the order-3 closed form at N = 1000, 2000, 4000."""
+        runs = []
+        for N in (1000, 2000, 4000):
+            params = _params(1, alpha=0.5, n0=0.1 * N, N=N)
+            trace = propagate_dicke(HighGainModel(params=params, variant="third_order"), 6.5, 401)
+            n = trace.column("n")
+            gap = np.max(np.abs(n - analytic_n_first(trace.x, params))) / N
+            runs.append((first_maximum(trace.x, n).amplitude / (params.n0 + N) - 1.0, gap))
+        return runs
+
+    @staticmethod
+    def _richardson(amp):
+        """Richardson value of the amplitude deviation from N = 2000 and 4000, and its bound 0.4 |D|."""
+        return 2.0 * amp[2] - amp[1], 0.4 * abs(amp[1] - amp[2])
+
+    def test_third_order_gap_to_its_closed_form_stays_finite(self):
+        amp, _ = zip(*self._third_order_runs())
+        limit, bound = self._richardson(amp)
+        # The whole band lies below 0: a model gap, which no N removes.
+        assert limit + bound < 0.0, (amp, limit, bound)
+        # validate's 0.02 gate holds it inside its margin at every N.
+        assert all(abs(a) < 0.02 for a in amp) and abs(limit) + bound < 0.02, amp
+
+    def test_third_order_without_its_diagonal_tends_to_its_closed_form(self, monkeypatch):
+        build = highgain.build_dicke_tridiagonal
+
+        def zero_diagonal(model):
+            bands = build(model).bands
+            return highgain.BandedHermitianOperator(size=bands[0].size, bands={0: np.zeros_like(bands[0]), 1: bands[1]})
+
+        monkeypatch.setattr(highgain, "build_dicke_tridiagonal", zero_diagonal)
+        amp, gaps = zip(*self._third_order_runs())
+        limit, bound = self._richardson(amp)
+        assert abs(limit) <= bound, (amp, limit, bound)
+        # The pointwise gap then falls as 1/N, as first_order's does.
+        orders = [np.log2(gaps[i] / gaps[i + 1]) for i in range(len(gaps) - 1)]
+        for N, p in zip((1000, 2000), orders):
+            lo, hi = self._band(N)
+            assert lo <= p <= hi, (N, orders)

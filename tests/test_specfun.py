@@ -1,11 +1,15 @@
 """Elliptic integral and Jacobi cn against mpmath reference values and identity oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfel.specfun import elliptic_K, jacobi_cn, modulus_from_seed
+from qfel import highgain
+from qfel.core import FelParams
+from qfel.specfun import elliptic_K, jacobi_cn
 
 MODULI = [0.0, 0.05, 0.3, 0.5, 1 / np.sqrt(2.0), 0.9, 0.95346, 0.999, 0.999999]
 
@@ -76,7 +80,7 @@ class TestEllipticK:
 
     def test_mpmath_reference_values(self):
         for ratio, (bigk, _) in REFERENCE.items():
-            assert elliptic_K(modulus_from_seed(ratio, 1)) == pytest.approx(bigk, rel=1e-14), ratio
+            assert elliptic_K((1 + ratio) ** -0.5) == pytest.approx(bigk, rel=1e-14), ratio
 
     def test_reference_point_half_sqrt2(self):
         # Lemniscatic value, frozen from an independent AGM evaluation.
@@ -96,7 +100,7 @@ class TestJacobiCn:
     def test_mpmath_reference_values(self):
         for ratio, (_, samples) in REFERENCE.items():
             u, expected = np.array(samples).T
-            k = modulus_from_seed(ratio, 1)
+            k = (1 + ratio) ** -0.5
             assert np.max(np.abs(jacobi_cn(u, k) - expected)) < 1e-12, ratio
             assert np.max(np.abs(jacobi_cn(-u, k) - expected)) < 1e-12, ratio
 
@@ -118,7 +122,7 @@ class TestJacobiCn:
             assert abs(jacobi_cn(elliptic_K(k), k)) < 1e-10
 
     def test_periodicity_4k(self):
-        for k in (0.3, 0.7, 0.95346, modulus_from_seed(1e-12, 1)):
+        for k in (0.3, 0.7, 0.95346, (1 + 1e-12) ** -0.5):
             bigk = elliptic_K(k)
             u = np.linspace(-8 * bigk, 8 * bigk, 301)
             assert np.max(np.abs(jacobi_cn(u + 4 * bigk, k) - jacobi_cn(u, k))) < 1e-9
@@ -131,27 +135,26 @@ class TestJacobiCn:
             assert np.max(np.abs(jacobi_cn(-u, k) - cn)) < 1e-12
 
 
+def _seed_modulus(n0, N, closed_form=lambda p: highgain.lmax_exact(p, 1)):
+    """The modulus a first-resonance closed form hands to K for a seed n0 of N electrons."""
+    params = FelParams(alpha=0.25, nu=1, n0=n0, N=N, context="high")
+    with mock.patch.object(highgain, "elliptic_K", wraps=elliptic_K) as spy:
+        closed_form(params)
+    return spy.call_args.args[0]
+
+
 class TestModulus:
     def test_constraint(self):
         with pytest.raises(ValueError, match=r"modulus must lie in \[0, 1\), got 1.0"):
             elliptic_K(1.0)
         with pytest.raises(ValueError, match=r"modulus must lie in \[0, 1\), got -0.2"):
             jacobi_cn(0.0, -0.2)
-        assert type(modulus_from_seed(100, 1000)) is float
 
     def test_seed_modulus_reference_value(self):
         # k = (1 + 0.1)**-1/2, frozen.
-        assert modulus_from_seed(100, 1000) == pytest.approx(0.9534625892455922, abs=1e-15)
-
-    def test_seedless_field_rejected(self):
-        with pytest.raises(ValueError, match="modulus"):
-            modulus_from_seed(0.0, 1000)
-
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            modulus_from_seed(-1.0, 10)
-        with pytest.raises(ValueError):
-            modulus_from_seed(1.0, 0)
+        k = _seed_modulus(100, 1000)
+        assert type(k) is float
+        assert k == pytest.approx(0.9534625892455922, abs=1e-15)
 
     @given(
         n0=st.floats(min_value=1e-6, max_value=1e6),
@@ -159,5 +162,6 @@ class TestModulus:
     )
     @settings(deadline=None, max_examples=100)
     def test_always_a_valid_modulus(self, n0, N):
-        k = modulus_from_seed(n0, N)
-        assert 0.0 < float(k) < 1.0
+        # Order 1 has no phase factor to break down, whatever n0/N is.
+        k = _seed_modulus(n0, N, lambda p: highgain.analytic_n_first(0.0, p, order=1))
+        assert 0.0 < k < 1.0
