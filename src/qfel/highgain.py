@@ -399,6 +399,8 @@ def _seed_ratio(params: FelParams) -> float:
     r = float(params.seed_ratio)
     if not np.isfinite(r * (r + 2.0)):
         raise ValueError(f"n0 = {params.n0} is too large: (n0/N)(n0/N + 2) overflows")
+    if not 1.0 + r > 1.0:  # else the modulus (1 + n0/N)^(-1/2) rounds to 1
+        raise ValueError(f"n0 = {params.n0} is too small: 1 + n0/N rounds to 1")
     return r
 
 
@@ -429,11 +431,13 @@ def analytic_n_second(ell: np.ndarray | float, params: FelParams) -> np.ndarray 
 
     n(ell) = n0 (1 + n0/2N) / (cos^2 theta + n0/2N) with
     theta = sqrt((n0/N)(n0/N + 2)) * alpha * ell / 2; periodic between n0 and n0 + 2N.
+    The ratio is taken before n0 multiplies it, so n0 (1 + n0/2N) cannot
+    overflow for a seed that ``_seed_ratio`` passes.
     """
     r = _seed_ratio(params)
     x = params.n0 / (2.0 * params.N)
     theta = np.sqrt(r * (r + 2.0)) * params.alpha * np.asarray(ell, dtype=float) / 2.0
-    return params.n0 * (1.0 + x) / (np.cos(theta) ** 2 + x)
+    return params.n0 * ((1.0 + x) / (np.cos(theta) ** 2 + x))
 
 
 def short_time_n_second(ell: np.ndarray | float, params: FelParams) -> np.ndarray | float:

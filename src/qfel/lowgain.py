@@ -33,7 +33,6 @@ from .core import (
     FelParams,
     LadderState,
     Trace,
-    _is_integer,
     _positive_bracket,
     boxcar_smooth,
     first_maximum,
@@ -42,7 +41,6 @@ from .core import (
 
 __all__ = [
     "LowGainModel",
-    "SUPPORTED_ORDERS",
     "build_full_hamiltonian",
     "rotating_frame_hamiltonian",
     "build_effective_hamiltonian",
@@ -56,43 +54,25 @@ __all__ = [
     "fit_rabi_frequency",
 ]
 
-#: Expansion orders available per resonance for the effective models.
-SUPPORTED_ORDERS: Dict[int, tuple[int, ...]] = {1: (1, 2, 3), 2: (2, 4), 3: (1, 2, 3)}
-
-
 @dataclass(frozen=True)
 class LowGainModel:
     """A low-gain scenario, and the one place that decides its run.
 
     ``variant`` is one of ``VARIANTS``, the one list of them; ``"effective"``
-    covers nu = 1, 2, 3 only.  ``order`` is the effective model's expansion
-    order, an integer in ``SUPPORTED_ORDERS[nu]``; ``None`` selects the
-    resonance's highest tabulated order and stores it here.  The full
-    Hamiltonian has no expansion, so it refuses any order.
+    covers nu = 1, 2, 3 only.
     """
 
     VARIANTS: ClassVar[tuple[str, ...]] = ("full_hamiltonian", "effective")
     params: FelParams
     variant: str = "full_hamiltonian"
-    order: int | None = None
 
     def __post_init__(self) -> None:
         if self.params.context != "low":
             raise ValueError("LowGainModel requires params in the low-gain context")
         if self.variant not in self.VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "full_hamiltonian":
-            if self.order is not None:
-                raise ValueError(f"the full Hamiltonian has no expansion order, got {self.order}")
-            return
-        nu = self.params.nu
-        if nu not in SUPPORTED_ORDERS:
-            raise ValueError(f"no effective model for resonance nu = {nu}; supported: 1, 2, 3")
-        orders = SUPPORTED_ORDERS[nu]
-        order = orders[-1] if self.order is None else self.order
-        if not _is_integer(order) or order not in orders:  # 2.0 and True compare equal to orders
-            raise ValueError(f"resonance nu = {nu} supports expansion orders {orders}, got {order}")
-        object.__setattr__(self, "order", order)  # frozen: resolved once, here
+        if self.variant == "effective" and self.params.nu not in (1, 2, 3):
+            raise ValueError(f"no effective model for resonance nu = {self.params.nu}; supported: 1, 2, 3")
 
 
 def build_full_hamiltonian(model: LowGainModel, tau: float) -> np.ndarray:
@@ -132,18 +112,18 @@ def rotating_frame_hamiltonian(model: LowGainModel) -> BandedHermitianOperator:
 
 
 def build_effective_hamiltonian(model: LowGainModel) -> BandedHermitianOperator:
-    """Static effective Hamiltonian of the model's resonance and order.
+    """Static effective Hamiltonian of the model's resonance.
 
-    Supported expansion orders are 1-3 for nu = 1 and 3, and 2 or 4 for
-    nu = 2 (whose expansion has no odd terms); ``LowGainModel`` refuses any
-    other rather than truncating it silently.  Level indices are ladder
-    indices (level mu holds momentum nu*q/2 - mu*q).  The infinite
-    level-shift sums are truncated at the ladder bounds; the excluded tails
-    only touch levels inside the reporting buffer.
+    One table per resonance, at the order of its asymptotic expansion: third
+    order for nu = 1 and 3, fourth order for nu = 2 (whose expansion has no
+    odd terms).  Level indices are ladder indices (level mu holds momentum
+    nu*q/2 - mu*q).  The infinite level-shift sums are truncated at the
+    ladder bounds; the excluded tails only touch levels inside the reporting
+    buffer.
     """
     if model.variant != "effective":
         raise ValueError(f"build_effective_hamiltonian needs an effective model, got {model.variant!r}")
-    params, order = model.params, model.order
+    params = model.params
     nu, alpha, m = params.nu, params.alpha, params.ladder_halfwidth
     size = 2 * m + 1
     bands = {0: np.zeros(size)}
@@ -157,31 +137,28 @@ def build_effective_hamiltonian(model: LowGainModel) -> BandedHermitianOperator:
         # mu - 1, so the nu = 3 table is the nu = 1 table one level up.
         s = (nu - 1) // 2
         add(s, 1 + s, alpha)
-        if order >= 2:
-            add(s, s, -0.5 * alpha**2)
-            add(1 + s, 1 + s, -0.5 * alpha**2)
-            for mu in range(-m - s, m - s + 1):
-                if mu not in (0, 1):
-                    add(mu + s, mu + s, alpha**2 / (2.0 * mu * (mu - 1)))
-        if order >= 3:
-            add(s, 1 + s, -0.25 * alpha**3)
-            add(s - 1, 2 + s, 0.25 * alpha**3)
+        add(s, s, -0.5 * alpha**2)
+        add(1 + s, 1 + s, -0.5 * alpha**2)
+        for mu in range(-m - s, m - s + 1):
+            if mu not in (0, 1):
+                add(mu + s, mu + s, alpha**2 / (2.0 * mu * (mu - 1)))
+        add(s, 1 + s, -0.25 * alpha**3)
+        add(s - 1, 2 + s, 0.25 * alpha**3)
     elif nu == 2:
         add(0, 2, alpha**2)
         for mu in range(-m, m + 1):
             add(mu, mu, 2.0 * alpha**2 / ((2 * mu - 3) * (2 * mu - 1)))
-        if order >= 4:
-            add(0, 2, -(16.0 / 9.0) * alpha**4)
-            add(-1, 3, alpha**4 / 36.0)
-            for mu in range(-m, m):  # each pair (mu, mu + 1) inside the ladder
-                half = mu - 0.5
-                shift = alpha**4 / (8.0 * half**3 * (half**2 - 1.0) ** 2)
-                add(mu + 1, mu + 1, -shift)
-                add(mu, mu, shift)
-                if mu != 0:
-                    pair = alpha**4 / (64.0 * mu * (mu**2 - 0.25) ** 2)
-                    add(mu + 1, mu + 1, pair)
-                    add(mu, mu, pair)
+        add(0, 2, -(16.0 / 9.0) * alpha**4)
+        add(-1, 3, alpha**4 / 36.0)
+        for mu in range(-m, m):  # each pair (mu, mu + 1) inside the ladder
+            half = mu - 0.5
+            shift = alpha**4 / (8.0 * half**3 * (half**2 - 1.0) ** 2)
+            add(mu + 1, mu + 1, -shift)
+            add(mu, mu, shift)
+            if mu != 0:
+                pair = alpha**4 / (64.0 * mu * (mu**2 - 0.25) ** 2)
+                add(mu + 1, mu + 1, pair)
+                add(mu, mu, pair)
     return BandedHermitianOperator(size=size, bands=bands)
 
 
@@ -239,8 +216,11 @@ def gain_frequency(nu: int, alpha: float) -> float:
     perturbative in alpha; once alpha^2 / 4 >= 1 or 16 alpha^2 / 9 >= 1 a
     bracket stops being positive and the expansion has left its domain of
     validity, which is rejected rather than returned as a zero or negative
-    frequency.
+    frequency.  This is also the one check of alpha for every low-gain
+    closed form: it must be positive and finite.
     """
+    if not (alpha > 0 and np.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if nu == 1:
         return alpha * _positive_bracket(
             1.0 - alpha**2 / 4.0, "first-resonance frequency breaks down: alpha^2 / 4 >= 1"
@@ -282,12 +262,12 @@ def analytic_populations_second(alpha: float, tau: np.ndarray | float) -> Dict[i
     odd amplitude terms, so the first dropped amplitude term is O(alpha**4),
     and the first dropped frequency term, O(alpha**6), builds an O(alpha**4)
     phase error over tau ~ pi/alpha**2.  The envelope frequency xi1 is
-    ``gain_frequency(2, alpha)``, so alpha >= 0.75 is rejected there.  See
-    ``momentum_label_to_level`` for the ladder-index correspondence.
+    ``gain_frequency(2, alpha)``, which checks alpha and refuses alpha >= 0.75.
+    See ``momentum_label_to_level`` for the ladder-index correspondence.
     """
     tau = np.asarray(tau, dtype=float)
-    a2 = alpha * alpha
     xi1 = gain_frequency(2, alpha)
+    a2 = alpha * alpha
     xi2 = (a2 * a2 / 36.0) * np.sqrt(1.0 + (124.0 / 125.0) ** 2)
     xi3 = 3.0 - (8.0 * a2 / 15.0) * (1.0 - 16.0 * a2 / 5.0)
     xi4 = 1.0 + (8.0 * a2 / 3.0) * (1.0 - 7.0 * (8.0 * alpha / 15.0) ** 2)

@@ -612,6 +612,13 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="seed"):
             analytic_n_second(1.0, _params(2, n0=0.0))
 
+    def test_second_resonance_stays_finite_for_a_huge_seed(self):
+        # n0 (1 + n0/2N) alone would overflow here; the ratio is formed first.
+        p = _params(2, alpha=0.25, n0=1e157, N=10_000)
+        n = analytic_n_second(np.array([0.0, 1.0]), p)
+        assert n[0] == p.n0
+        assert n[1] == pytest.approx(p.n0, rel=1e-12)
+
     def test_short_time_law_is_the_leading_expansion(self):
         p = _params(2, alpha=0.25, n0=100.0, N=1000)
         for ell in (0.01, 0.1, 0.5):
@@ -642,6 +649,11 @@ class TestSeedBoundary:
         "low_context": (dict(n0=100.0, N=1000, context="low"), "need high-gain params, got context 'low'"),
         "seedless": (dict(n0=0.0, N=1000, context="high"), "need a seeded field: n0 > 0, got 0.0"),
         "overflowing_ratio": (dict(n0=1e308, N=1, context="high"), r"n0 = 1e\+308 is too large"),
+        # 1 + 2^-53 rounds to 1, and with it the modulus (1 + n0/N)^(-1/2).
+        "below_the_floor": (
+            dict(n0=2.0**-53, N=1, context="high"),
+            r"^n0 = 1\.1102230246251565e-16 is too small: 1 \+ n0/N rounds to 1$",
+        ),
     }
 
     @pytest.mark.parametrize("case", REFUSED)
@@ -653,6 +665,13 @@ class TestSeedBoundary:
             self.CLOSED_FORMS[name](params)
         assert "\n" not in str(excinfo.value)
         assert excinfo.traceback[-1].name == "_seed_ratio"
+
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_the_first_seed_above_the_floor_is_passed(self, name):
+        # 1 + 2^-52 is the next double after 1, so the modulus stays below 1.
+        out = self.CLOSED_FORMS[name](FelParams(alpha=0.25, nu=2, n0=2.0**-52, N=1, context="high"))
+        values = out.column("n") if name == "integrate_semiclassical" else out
+        assert np.all(np.isfinite(values))
 
 
 class TestSemiclassical:

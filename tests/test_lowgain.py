@@ -1,14 +1,16 @@
 """Momentum-ladder dynamics: builders, route agreement, closed forms."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfel
 from oracles import expm_populations, ode_populations
 from qfel.core import FelParams, LadderState, Trace, first_maximum
 from qfel.lowgain import (
-    SUPPORTED_ORDERS,
     LowGainModel,
     analytic_dn,
     analytic_populations_second,
@@ -32,43 +34,42 @@ def _full(nu, alpha=0.25, **kw):
     return LowGainModel(params=_params(nu, alpha, **kw))
 
 
-def _effective(nu, alpha=0.25, order=None, **kw):
-    return LowGainModel(params=_params(nu, alpha, **kw), variant="effective", order=order)
+def _effective(nu, alpha=0.25, **kw):
+    return LowGainModel(params=_params(nu, alpha, **kw), variant="effective")
 
 
 class TestLowGainModel:
-    """The one boundary of a low-gain run: regime, variant and expansion order."""
+    """The one boundary of a low-gain run: regime, variant and resonance."""
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, error",
         [
-            {"variant": "effective", "order": True},  # bool is an Integral, but not an integer here
-            {"variant": "effective", "order": 2.0},  # integral value, but not an integer
-            {"variant": "effective", "order": 0},
-            {"variant": "mean_field"},
+            ({"variant": "effective", "order": True}, TypeError),  # each resonance has one table, so no order
+            ({"variant": "effective", "order": 2.0}, TypeError),
+            ({"variant": "effective", "order": 0}, TypeError),
+            ({"variant": "mean_field"}, ValueError),
         ],
         ids=["order-True", "order-2.0", "order-0", "mean_field"],
     )
-    def test_rejections(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_rejections(self, kwargs, error):
+        with pytest.raises(error):
             LowGainModel(params=_params(1), **kwargs)
-
-    @pytest.mark.parametrize("order", [True, 2.0])
-    def test_order_must_be_an_integer(self, order):
-        # 2.0 and True compare equal to tabulated orders, so they need refusing by type.
-        with pytest.raises(ValueError, match=f"^resonance nu = 2 supports expansion orders \\(2, 4\\), got {order}$"):
-            _effective(2, order=order)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, True])
     def test_full_hamiltonian_refuses_any_order(self, order):
-        with pytest.raises(ValueError, match=f"^the full Hamiltonian has no expansion order, got {order}$"):
+        with pytest.raises(TypeError, match="order"):
             LowGainModel(params=_params(1), order=order)
 
-    def test_effective_order_defaults_to_the_highest_tabulated(self):
-        for nu, orders in SUPPORTED_ORDERS.items():
-            assert _effective(nu).order == orders[-1]
-            assert _effective(nu, order=orders[0]).order == orders[0]
-        assert _full(2).order is None
+    @pytest.mark.parametrize("nu", [4, -1])
+    def test_effective_covers_the_first_three_resonances(self, nu):
+        with pytest.raises(ValueError, match=f"^no effective model for resonance nu = {nu}; supported: 1, 2, 3$"):
+            _effective(nu)
+        assert _full(nu).params.nu == nu  # the full Hamiltonian has every resonance
+
+    def test_the_order_knob_is_gone(self):
+        assert "order" not in {f.name for f in fields(LowGainModel)}
+        assert "SUPPORTED_ORDERS" not in qfel.__all__
+        assert not hasattr(qfel.lowgain, "SUPPORTED_ORDERS")
 
     def test_order_left_felparams(self):
         with pytest.raises(TypeError, match="order"):
@@ -220,48 +221,43 @@ class TestEffectiveHamiltonian:
         assert op.bands[3][-1 + m] == pytest.approx(alpha**3 / 4.0)
 
     def test_second_resonance_matrix_elements(self):
+        # The fourth-order table: the resonant coupling and its alpha^4
+        # correction, the induced four-step coupling, and per level the
+        # second-order shift plus the fourth-order shifts of the two pairs
+        # (mu - 1, mu) and (mu, mu + 1) the level belongs to.
         alpha, m = 0.2, 6
-        low = build_effective_hamiltonian(_effective(2, alpha=alpha, order=2, M=m))
-        diag = low.bands[0]
-        for mu in (-2, -1, 0, 1, 2, 3):
-            expected = 2.0 * alpha**2 / ((2 * mu - 3) * (2 * mu - 1))
-            assert diag[mu + m] == pytest.approx(expected), f"mu={mu}"
-        assert low.bands[2][0 + m] == pytest.approx(alpha**2)
-        assert 1 not in low.bands or not np.any(low.bands[1])
+        op = build_effective_hamiltonian(_effective(2, alpha=alpha, M=m))
+        assert sorted(op.bands) == [0, 2, 4]
+        assert op.bands[2][0 + m] == pytest.approx(alpha**2 - (16.0 / 9.0) * alpha**4)
+        assert op.bands[4][-1 + m] == pytest.approx(alpha**4 / 36.0)
+        assert np.count_nonzero(op.bands[2]) == 1 and np.count_nonzero(op.bands[4]) == 1
 
-        high = build_effective_hamiltonian(_effective(2, alpha=alpha, order=4, M=m))
-        assert high.bands[2][0 + m] == pytest.approx(alpha**2 - (16.0 / 9.0) * alpha**4)
-        assert high.bands[4][-1 + m] == pytest.approx(alpha**4 / 36.0)
+        def shift(lower):  # added to the pair's lower level and taken from its upper one
+            half = lower - 0.5
+            return alpha**4 / (8.0 * half**3 * (half**2 - 1.0) ** 2)
+
+        def pair(lower):  # added to both levels of the pair; the resonant pair (0, 1) has none
+            return 0.0 if lower == 0 else alpha**4 / (64.0 * lower * (lower**2 - 0.25) ** 2)
+
+        for mu in range(-m, m + 1):
+            expected = 2.0 * alpha**2 / ((2 * mu - 3) * (2 * mu - 1))
+            if mu < m:
+                expected += shift(mu) + pair(mu)
+            if mu > -m:
+                expected += pair(mu - 1) - shift(mu - 1)
+            assert op.bands[0][mu + m] == pytest.approx(expected, rel=1e-12, abs=1e-18), f"mu={mu}"
 
     def test_third_resonance_is_first_shifted_by_one(self):
         # The nu = 3 table is the nu = 1 table translated one level up, bit
-        # for bit, at every order; its bottom level -M takes the nu = 1 shift
-        # of the level just below the nu = 1 ladder.
+        # for bit; its bottom level -M takes the nu = 1 shift of the level
+        # just below the nu = 1 ladder.
         alpha, m = 0.25, 7
-        for order in SUPPORTED_ORDERS[3]:
-            op1 = build_effective_hamiltonian(_effective(1, alpha=alpha, order=order, M=m))
-            op3 = build_effective_hamiltonian(_effective(3, alpha=alpha, order=order, M=m))
-            assert list(op3.bands) == list(op1.bands)
-            for d, band in op1.bands.items():
-                assert np.array_equal(op3.bands[d][1:], band[:-1]), (order, d)
-            below = alpha**2 / (2.0 * (-m - 1) * (-m - 2)) if order >= 2 else 0.0
-            assert op3.bands[0][0] == below, order
-
-    def test_unsupported_orders_are_rejected(self):
-        with pytest.raises(ValueError, match="orders"):
-            _effective(2, order=3)
-        with pytest.raises(ValueError, match="orders"):
-            _effective(1, order=4)
-        with pytest.raises(ValueError, match="resonance"):
-            _effective(4)
-        assert SUPPORTED_ORDERS == {1: (1, 2, 3), 2: (2, 4), 3: (1, 2, 3)}
-
-    def test_order_one_first_resonance_is_exact_rabi(self):
-        p = _params(1, alpha=0.25)
-        model = _effective(1, alpha=0.25, order=1)
-        trace = propagate(model, LadderState.initial(p), 30.0, 601)
-        expected = np.sin(0.25 * trace.x) ** 2
-        assert np.max(np.abs(trace.column("dn_per_N") - expected)) < 1e-12
+        op1 = build_effective_hamiltonian(_effective(1, alpha=alpha, M=m))
+        op3 = build_effective_hamiltonian(_effective(3, alpha=alpha, M=m))
+        assert list(op3.bands) == list(op1.bands)
+        for d, band in op1.bands.items():
+            assert np.array_equal(op3.bands[d][1:], band[:-1]), d
+        assert op3.bands[0][0] == alpha**2 / (2.0 * (-m - 1) * (-m - 2))
 
 
 class TestPropagate:
@@ -319,6 +315,22 @@ class TestClosedForms:
             with pytest.raises(ValueError, match="alpha\\^2 / 4 >= 1"):
                 analytic_dn(1, alpha, np.linspace(0.0, 10.0, 6))
         assert gain_frequency(1, 1.9) == 1.9 * (1.0 - 1.9**2 / 4.0)
+
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "closed_form",
+        [
+            lambda alpha: gain_frequency(1, alpha),
+            lambda alpha: analytic_dn(3, alpha, 1.0),
+            lambda alpha: analytic_populations_second(alpha, 1.0),
+            lambda alpha: analytic_populations_third(alpha, 1.0),
+        ],
+        ids=["gain_frequency", "analytic_dn", "analytic_populations_second", "analytic_populations_third"],
+    )
+    def test_alpha_is_checked_once_in_gain_frequency(self, closed_form, alpha):
+        with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {alpha}$") as excinfo:
+            closed_form(alpha)
+        assert excinfo.traceback[-1].name == "gain_frequency"
 
     def test_scalar_phase_gives_scalar_gain(self):
         out = analytic_dn(1, 0.25, 0.0)
