@@ -259,25 +259,21 @@ def _sweep_point_high(alpha: float, n0: float, nu: int, electrons: int) -> list:
         return row
     errors: list[str] = []
     # lmax_exact reads alpha, n0 and N only, so one FelParams serves every
-    # resonance; each is computed once per row, so its error is written once.
+    # resonance; each value is computed once per row, so its error is written once.
     @cache
-    def exact(resonance: int) -> float:
+    def attempt(compute: Callable[..., float], *args) -> float:
         try:
-            return lmax_exact(params, resonance)
+            return compute(*args)
         except Exception as err:  # noqa: BLE001
             errors.append(_sanitize(err))
             return math.nan
 
-    row[6] = exact(nu)
+    row[6] = attempt(lmax_exact, params, nu)
     if nu in (1, 2):
         # Closed-form ceiling of the first maximum, for the resonances lmax_exact accepts.
         row[5] = n0 + nu * electrons
-    try:
-        row[7] = lmax_ratio(alpha, params.seed_ratio)
-    except Exception as err:  # noqa: BLE001
-        errors.append(_sanitize(err))
-    else:
-        row[8] = exact(2) / exact(1)
+    row[7] = attempt(lmax_ratio, alpha, params.seed_ratio)
+    row[8] = attempt(lmax_exact, params, 2) / attempt(lmax_exact, params, 1)
     row[9] = "; ".join(errors)
     return row
 

@@ -87,10 +87,8 @@ class FelParams:
     def __post_init__(self) -> None:
         if self.context not in ("low", "high"):
             raise ValueError(f"context must be 'low' or 'high', got {self.context!r}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not np.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if not (self.alpha > 0 and np.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.alpha > 1:
             warnings.warn(
                 f"alpha = {self.alpha} exceeds 1: outside the quantum regime",
@@ -98,10 +96,8 @@ class FelParams:
             )
         if not _is_integer(self.nu) or self.nu == 0:
             raise ValueError(f"nu must be a nonzero integer, got {self.nu}")
-        if self.n0 < 0:
-            raise ValueError(f"n0 must be non-negative, got {self.n0}")
-        if not np.isfinite(self.n0):
-            raise ValueError(f"n0 must be finite, got {self.n0}")
+        if not (self.n0 >= 0 and np.isfinite(self.n0)):
+            raise ValueError(f"n0 must be non-negative and finite, got {self.n0}")
         if not _is_integer(self.N) or self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
         if self.M is not None and not _is_integer(self.M):
@@ -194,7 +190,7 @@ def sample_axis(end: float, samples: int) -> np.ndarray:
     """
     if not (end > 0 and np.isfinite(end)):
         raise ValueError(f"end must be positive and finite, got {end}")
-    if not isinstance(samples, Integral) or samples < 2:
+    if not _is_integer(samples) or samples < 2:
         raise ValueError(f"samples must be at least 2 (an integer), got {samples!r}")
     return np.linspace(0.0, end, samples)
 

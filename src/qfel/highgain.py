@@ -563,10 +563,10 @@ def lmax_exact(params: FelParams, resonance: int) -> float:
     a negative length.
     """
     r = _seed_ratio(params)
+    if not _is_integer(resonance) or resonance not in (1, 2):  # True and 2.0 compare equal to resonances
+        raise ValueError(f"resonance must be 1 or 2, got {resonance}")
     if resonance == 1:
         k = (1.0 + r) ** -0.5
         corr = _first_resonance_phase_factor(params)
         return float(2.0 * elliptic_K(k) / (np.sqrt(1.0 + r) * corr))
-    if resonance == 2:
-        return float(np.pi / (params.alpha * np.sqrt(r * (r + 2.0))))
-    raise ValueError(f"resonance must be 1 or 2, got {resonance}")
+    return float(np.pi / (params.alpha * np.sqrt(r * (r + 2.0))))

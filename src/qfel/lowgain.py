@@ -33,6 +33,7 @@ from .core import (
     FelParams,
     LadderState,
     Trace,
+    _is_integer,
     _positive_bracket,
     boxcar_smooth,
     first_maximum,
@@ -221,6 +222,8 @@ def gain_frequency(nu: int, alpha: float) -> float:
     """
     if not (alpha > 0 and np.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not _is_integer(nu) or nu not in (1, 2, 3):  # True and 2.0 compare equal to resonances
+        raise ValueError(f"closed forms cover nu in {{1, 2, 3}}, got {nu}")
     if nu == 1:
         return alpha * _positive_bracket(
             1.0 - alpha**2 / 4.0, "first-resonance frequency breaks down: alpha^2 / 4 >= 1"
@@ -229,9 +232,7 @@ def gain_frequency(nu: int, alpha: float) -> float:
         return alpha**2 * _positive_bracket(
             1.0 - 16.0 * alpha**2 / 9.0, "second-resonance frequency breaks down: 16 alpha^2 / 9 >= 1"
         )
-    if nu == 3:
-        return alpha**3 / 4.0
-    raise ValueError(f"closed forms cover nu in {{1, 2, 3}}, got {nu}")
+    return alpha**3 / 4.0
 
 
 def analytic_dn(nu: int, alpha: float, phase: np.ndarray | float) -> np.ndarray | float:
@@ -301,9 +302,9 @@ def momentum_label_to_level(nu: int, k2: int) -> int:
 
     Level mu holds momentum nu*q/2 - mu*q, so mu = (nu - k2) / 2 where k2
     counts the momentum in half-recoil units (k2 = 2 means +q, k2 = -3 means
-    -3q/2, ...).  Rejects labels off the ladder's parity.
+    -3q/2, ...).  Rejects non-integers and labels off the ladder's parity.
     """
-    if (nu - k2) % 2 != 0:
+    if not (_is_integer(nu) and _is_integer(k2)) or (nu - k2) % 2 != 0:
         raise ValueError(f"momentum {k2}/2 q is not on the nu = {nu} ladder")
     return (nu - k2) // 2
 

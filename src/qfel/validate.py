@@ -10,14 +10,15 @@ every check and reports one pass/fail line listing every gate.  The
 wrappers around it.
 
 Heavy artifacts (the N = 10^4 collective runs, the figure-scale ladder
-traces) are computed once per process and shared across checks through
-``ValidationContext``.
+traces) are computed once per ``ValidationContext`` and shared across its
+checks; the caches belong to the instance, so a fresh context recomputes
+and a dropped one frees its traces.  ``shared_context`` is the process's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -103,31 +104,26 @@ _LOW_SAMPLES = {1: 4001, 2: 4001, 3: 8001}
 _collective_params = partial(FelParams, n0=FIG_N0, N=FIG_N, context="high")
 
 
+def _low_full_trace(nu: int, m_scale: int = 1) -> Trace:
+    params = _low_params(nu, m_scale=m_scale)
+    tau_end = 1.05 * np.pi / gain_frequency(abs(nu), params.alpha)
+    model = LowGainModel(params=params, variant="full_hamiltonian")
+    return propagate(model, LadderState.initial(params), tau_end, _LOW_SAMPLES[abs(nu)])
+
+
+def _collective_trace(nu: int, variant: str, alpha: float) -> Trace:
+    span = 6.5 if nu == 1 else 45.0
+    samples = 401 if nu == 1 else 451
+    model = HighGainModel(params=_collective_params(alpha=alpha, nu=nu), variant=variant)
+    return propagate_dicke(model, span, samples)
+
+
 class ValidationContext:
-    """Caches the expensive propagation runs shared between checks."""
+    """Caches the expensive propagation runs shared between checks, per instance."""
 
     def __init__(self) -> None:
-        self._cache: dict = {}
-
-    def low_full_trace(self, nu: int, m_scale: int = 1) -> Trace:
-        key = ("low_full", nu, m_scale)
-        if key not in self._cache:
-            params = _low_params(nu, m_scale=m_scale)
-            tau_end = 1.05 * np.pi / gain_frequency(abs(nu), params.alpha)
-            model = LowGainModel(params=params, variant="full_hamiltonian")
-            self._cache[key] = propagate(
-                model, LadderState.initial(params), tau_end, _LOW_SAMPLES[abs(nu)]
-            )
-        return self._cache[key]
-
-    def collective_trace(self, nu: int, variant: str, alpha: float) -> Trace:
-        key = ("collective", nu, variant, alpha)
-        if key not in self._cache:
-            span = 6.5 if nu == 1 else 45.0
-            samples = 401 if nu == 1 else 451
-            model = HighGainModel(params=_collective_params(alpha=alpha, nu=nu), variant=variant)
-            self._cache[key] = propagate_dicke(model, span, samples)
-        return self._cache[key]
+        self.low_full_trace = cache(_low_full_trace)
+        self.collective_trace = cache(_collective_trace)
 
 
 def check_low_gain_peaks(ctx: ValidationContext) -> CheckResult:

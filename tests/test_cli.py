@@ -237,6 +237,20 @@ def test_flag_table_names_exactly_the_runner_parameters():
     assert parameters == set(cli._FLAGS)
 
 
+def test_readme_usage_names_exactly_each_runner_parameters():
+    # README's "Command line" block lists each subcommand's flags by hand;
+    # each list must be that runner's parameters, as the parser builds them.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n+```\n(.*?)^```", readme, re.DOTALL | re.MULTILINE).group(1)
+    usage: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("qfel "):
+            command = line.split()[1]
+            usage[command] = set()
+        usage[command] |= set(re.findall(r"--([a-z0-9_]+)", line))
+    assert usage == {name: set(inspect.signature(cli._runner(name)).parameters) for name in cli._COMMANDS}
+
+
 class TestSweepLow:
     def test_grid_shape_and_clean_errors(self, default_rows):
         _, header, cols = default_rows
@@ -371,7 +385,26 @@ class TestSweepHigh:
         assert len(cols["alpha"]) == 2
         for i in range(2):
             assert np.isnan(cols["length_ratio_shorthand"][i])
-            assert cols["error"][i].count("alpha must be finite") == 1
+            assert cols["error"][i].count("alpha must be positive and finite") == 1
+
+    @pytest.mark.filterwarnings("ignore:alpha")
+    def test_exact_ratio_is_written_where_only_the_shorthand_refuses(self, tmp_path):
+        # At n0/N = 2 the logarithmic shorthand refuses, but both exact lengths
+        # exist; at alpha = 3 the first-resonance length is refused too, and
+        # each refusal is written once per row.
+        out = tmp_path / "strong_seed.csv"
+        argv = ["sweep", "--regime", "high", "--n0", "20000", "--alpha", "0.1,3", "--out", str(out)]
+        assert cli.main(argv) == 0
+        _, _, cols = _read_csv(out)
+        p = FelParams(alpha=0.1, n0=20000.0, N=10000, context="high")
+        exact = lmax_exact(p, 2) / lmax_exact(p, 1)
+        assert list(cols["max_position"][:2]) == pytest.approx([lmax_exact(p, 1), lmax_exact(p, 2)], rel=1e-9)
+        assert list(cols["length_ratio_exact"][:2]) == pytest.approx([exact, exact], rel=1e-9)
+        assert all(np.isnan(cols["length_ratio_shorthand"]))
+        assert all(np.isnan(cols["length_ratio_exact"][2:]))
+        shorthand = "the logarithmic form needs 0 < n0/N < 1"
+        breakdown = "first-resonance phase factor breaks down: alpha^2 (1 + 2 n0/N) >= 8"
+        assert list(cols["error"]) == [shorthand, shorthand, f"{breakdown}; {shorthand}", f"{shorthand}; {breakdown}"]
 
     def test_rejected_resonance_rows_hold_no_ceiling(self, tmp_path):
         out = tmp_path / "nu.csv"
@@ -474,8 +507,8 @@ class TestExitCodes:
             (["fig3", "--panel", "top", "--electrons", "0"], "N must be a positive integer"),
             (["fig3", "--panel", "top", "--end", "0"], "end must be positive and finite"),
             (["fig4", "--n0", "1e9"], "phase factor breaks down"),
-            (["fig2", "--alpha", "inf"], "alpha must be finite"),
-            (["fig3", "--panel", "top", "--n0", "nan"], "n0 must be finite"),
+            (["fig2", "--alpha", "inf"], "alpha must be positive and finite"),
+            (["fig3", "--panel", "top", "--n0", "nan"], "n0 must be non-negative and finite"),
             (
                 ["sweep", "--n0", "nan", "--electrons", "-5", "--alpha", "0.2", "--resonance", "1"],
                 "--n0/--electrons do not apply",

@@ -11,6 +11,8 @@ from qfel.core import (
     boxcar_smooth,
     first_maximum,
 )
+from qfel.highgain import lmax_exact
+from qfel.lowgain import gain_frequency, momentum_label_to_level
 
 
 class TestFelParams:
@@ -52,6 +54,15 @@ class TestFelParams:
         with pytest.raises(ValueError):
             FelParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [("alpha", value, "positive and finite") for value in (0.0, -1.0, np.nan, np.inf)]
+        + [("n0", value, "non-negative and finite") for value in (-1.0, np.nan, np.inf)],
+    )
+    def test_each_real_field_is_refused_in_one_wording(self, field, value, rule):
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {value}$"):
+            FelParams(**{"alpha": 0.25, field: value})
+
     @pytest.mark.parametrize("field", ["nu", "N", "M"])
     def test_bool_is_refused_as_an_integer(self, field):
         # M = True would also fall below |nu| + 3; the message names the integer rule.
@@ -69,6 +80,31 @@ class TestFelParams:
     def test_seed_ratio(self):
         p = FelParams(alpha=0.25, nu=2, n0=100, N=1000, context="high")
         assert p.seed_ratio == pytest.approx(0.1)
+
+
+#: Each raw resonance index the library takes: the call, an out-of-range integer, and its refusal.
+_INDEX_CHECKS = {
+    "lmax_exact": (
+        lambda v: lmax_exact(FelParams(alpha=0.25, nu=2, n0=100, N=1000, context="high"), v),
+        3,
+        "resonance must be 1 or 2, got {}",
+    ),
+    "gain_frequency": (lambda v: gain_frequency(v, 0.25), 4, "closed forms cover nu in {{1, 2, 3}}, got {}"),
+    "momentum_label_to_level": (
+        lambda v: momentum_label_to_level(2, v), 3, "momentum {}/2 q is not on the nu = 2 ladder"
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "out of range"])
+@pytest.mark.parametrize("name", sorted(_INDEX_CHECKS))
+def test_raw_resonance_indices_must_be_integers(name, value):
+    # True and 2.0 compare equal to valid indices, so only the integer rule refuses them.
+    call, out_of_range, message = _INDEX_CHECKS[name]
+    value = out_of_range if value == "out of range" else value
+    with pytest.raises(ValueError) as excinfo:
+        call(value)
+    assert str(excinfo.value) == message.format(value)
 
 
 class TestStates:

@@ -153,9 +153,9 @@ def test_benchmark_validate_traces_bind():
     # benchmark validate op while the rest of Tier-1 stayed green.
     import qfel.validate
 
-    signature = inspect.signature(qfel.validate.ValidationContext.collective_trace)
+    signature = inspect.signature(qfel.validate.ValidationContext().collective_trace)
     for key, _check in _bench_module("workloads").VALIDATE_TRACES:
-        signature.bind(None, *key)
+        signature.bind(*key)
 
 
 def test_collective_scan_matches_the_recorded_reference():

@@ -1,6 +1,8 @@
 """The validation layer's verdict rule: a check passes iff every gate passes."""
 
+import gc
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -105,3 +107,15 @@ def test_dense_oracle_check_runs_both_collective_routes_on_every_variant(monkeyp
     result = check_dense_oracle_equivalence(ValidationContext())
     assert calls == {"eigh": 4, "chebyshev": 4}
     assert result.passed, result.line()
+
+
+def test_traces_are_cached_per_context():
+    # A context computes each trace once; a fresh context computes its own,
+    # and a dropped context frees its traces with it.
+    ctx = ValidationContext()
+    trace = weakref.ref(ctx.low_full_trace(1))
+    assert ctx.low_full_trace(1) is trace()
+    assert ValidationContext().low_full_trace(1) is not trace()
+    del ctx
+    gc.collect()
+    assert trace() is None
