@@ -92,7 +92,7 @@ class FelParams:
         if self.alpha > 1:
             warnings.warn(
                 f"alpha = {self.alpha} exceeds 1: outside the quantum regime",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to its caller
             )
         if not _is_integer(self.nu) or self.nu == 0:
             raise ValueError(f"nu must be a nonzero integer, got {self.nu}")

@@ -13,7 +13,13 @@ makes that sub-gate a truncation floor rather than a bug:
 * maximum-length shorthand: the crossover passes, the band fails, and the
   shorthand misses the exact ratio by exactly the ln 4 that the leading
   logarithm of K(k) drops.
+
+The last two tests hold what the checks computed and printed: the cached
+N = 10^4 traces and the verdicts against the benchmark's recorded validate
+outputs, and every report line and gate value that README quotes.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +31,9 @@ from qfel.validate import (
     SHORTHAND_SEED_RATIOS,
     populations_pointwise_deviation,
     run_all,
+    shared_context,
 )
+from recorded import ROOT, assert_matches_reference, bench_module
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +150,39 @@ def test_dense_propagator_oracle_equivalence(verdicts):
 
 def test_conservation_suite(verdicts):
     _gate(verdicts, "conservation suite")
+
+
+def test_validate_matches_the_recorded_reference(verdicts):
+    # The three N = 10^4 traces the checks above cached, read back as the
+    # benchmark reads them, and the nine verdicts, against the benchmark's
+    # recorded validate outputs.  Reading them back propagates nothing.
+    tables, recorded = bench_module("check").load_reference("validate")
+    traces = shared_context().collective_trace
+    misses = traces.cache_info().misses
+    for key, _check in bench_module("workloads").VALIDATE_TRACES:
+        name = "trace_nu{}_{}".format(*key[:2])
+        trace = traces(*key)
+        assert_matches_reference(name, {"L_over_Lg": trace.x, **trace.columns}, tables.pop(name))
+    assert traces.cache_info().misses == misses
+    assert tables == {}
+    assert {name: "PASS" if result.passed else "FAIL" for name, result in verdicts.items()} == recorded
+
+
+def _words(text):
+    return " ".join(text.split())
+
+
+def test_readme_quotes_what_validate_prints(verdicts):
+    # Every report line README shows, and every gate it quotes in prose as
+    # `label value (tol limit)`, is printed by ``run_all`` as quoted.  README
+    # wraps one quote across lines, so whitespace is normalized first.
+    printed = [_words(result.line()) for result in verdicts.values()]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = [_words(line) for line in readme.splitlines() if line.lstrip().startswith(("[PASS]", "[FAIL]"))]
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.DOTALL | re.MULTILINE)
+    quotes = [_words(quote) for quote in re.findall(r"`([^`]*\(tol [-+.e\d]+\))`", prose)]
+    assert lines and quotes
+    for line in lines:
+        assert line in printed, line
+    for quote in quotes:
+        assert any(quote in line for line in printed), quote

@@ -70,8 +70,11 @@ class TestFelParams:
             FelParams(alpha=0.25, context="high", **{field: True})
 
     def test_alpha_above_one_warns(self):
-        with pytest.warns(UserWarning, match="quantum regime"):
+        # The warning names the line that built the params, not the
+        # dataclass-generated ``__init__`` (``<string>``).
+        with pytest.warns(UserWarning, match="quantum regime") as record:
             FelParams(alpha=1.5)
+        assert [w.filename for w in record] == [__file__]
 
     def test_mirrored_resonance_allowed(self):
         p = FelParams(alpha=0.25, nu=-2)

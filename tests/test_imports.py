@@ -3,7 +3,6 @@
 SciPy's heavy submodules load only when a route needs them.
 """
 
-import importlib.util
 import inspect
 import json
 import os
@@ -11,10 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import qfel
+from recorded import bench_module
 
 DEFERRED = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg")
 
@@ -124,20 +123,10 @@ def test_package_exports_each_modules_public_names_once():
             assert getattr(qfel, name) is getattr(module, name), name
 
 
-def _bench_module(name):
-    """Load ``perfbench/<name>.py`` by path; perfbench is not a package."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"qfel_bench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_tracer_targets_resolve():
     # perfbench/tracing.py rebinds these names on a traced run; a deleted or
     # renamed target would make ``Tracer.install`` fail with AttributeError.
-    tracing = _bench_module("tracing")
+    tracing = bench_module("tracing")
     import qfel.cli
     import qfel.validate
 
@@ -154,37 +143,8 @@ def test_benchmark_validate_traces_bind():
     import qfel.validate
 
     signature = inspect.signature(qfel.validate.ValidationContext().collective_trace)
-    for key, _check in _bench_module("workloads").VALIDATE_TRACES:
+    for key, _check in bench_module("workloads").VALIDATE_TRACES:
         signature.bind(*key)
-
-
-def test_collective_scan_matches_the_recorded_reference():
-    # The four seed-0 N = 1000 collective-scan traces, and N2000_dicke_only,
-    # whose eigenbasis GEMM is cut to its support panels on both edges,
-    # against the benchmark's recorded outputs, to tolerances that hold on
-    # any BLAS build.  The benchmark's own bar, 1e-10 of each column's
-    # maximum, is bitwise-tight on the roundoff-only energy columns and stays
-    # the benchmark's job.
-    from qfel import FelParams, HighGainModel, propagate_dicke
-
-    workloads = _bench_module("workloads")
-    path = Path(workloads.__file__).resolve().parent / "reference" / "collective-scan.npz"
-    specs = [
-        s for s in workloads.scan_inputs(workloads.NOMINAL_SEED)
-        if s["electrons"] == 1000 or s["name"] == "N2000_dicke_only"
-    ]
-    assert len(specs) == 5
-    with np.load(path) as reference:
-        for spec in specs:
-            params = FelParams(alpha=spec["alpha"], nu=spec["nu"], n0=spec["n0"], N=spec["electrons"], context="high")
-            model = HighGainModel(params=params, variant=spec["variant"])
-            trace = propagate_dicke(model, spec["span"], workloads.SCAN_SAMPLES)
-            for name in ("n", "norm", "energy"):
-                ref = reference[f"{spec['name']}::{name}"]
-                scale = np.max(np.abs(ref))
-                if name == "energy":
-                    scale = max(1.0, scale)
-                assert np.max(np.abs(trace.column(name) - ref)) <= 1e-10 * scale, (spec["name"], name)
 
 
 def test_benchmark_tracer_argument_hooks_bind():
@@ -193,7 +153,7 @@ def test_benchmark_tracer_argument_hooks_bind():
     # untraced run and fail only a traced benchmark run.
     from qfel import FelParams, HighGainModel, LadderState, LowGainModel, propagate, propagate_dicke
 
-    tracing = _bench_module("tracing")
+    tracing = bench_module("tracing")
     assert tracing._AFTER["highgain.propagate_dicke"] is tracing._dicke_levels
     assert tracing._AFTER["lowgain.propagate"] is tracing._ladder_levels
     tracer = tracing.Tracer("tier1")
@@ -216,7 +176,7 @@ def test_traced_run_counts_each_layer_and_restores_every_name():
     import qfel.validate
     from qfel import FelParams, HighGainModel, LadderState, LowGainModel
 
-    tracing = _bench_module("tracing")
+    tracing = bench_module("tracing")
     originals = {name: getattr(getattr(qfel, module), attr) for name, (module, attr) in tracing.TARGETS.items()}
     dense = qfel.core.BandedHermitianOperator.dense
     low = FelParams(alpha=0.25, nu=2, context="low")
