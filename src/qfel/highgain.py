@@ -464,7 +464,7 @@ def integrate_semiclassical(
     and B = 2|b0|^2 + n (= 2N + n0).  Aborts if the sum of the two electron
     populations exceeds N beyond integrator tolerance.
 
-    Returns a Trace over ell with columns ``n``, ``ndot``, ``A``, ``B``.
+    Returns a Trace over ell with columns ``n``, ``A``, ``B``.
     """
     _seed_ratio(params)
     if params.nu != 2:
@@ -504,16 +504,7 @@ def integrate_semiclassical(
         raise RuntimeError(
             f"electron-population constraint violated: max N0+N2 = {np.max(n_elec0 + n_elec2):.6e} vs N = {N}"
         )
-    ndot = 2.0 * np.real(np.conj(a) * rhs(0.0, sol.y)[0])
-    return Trace(
-        x=ells,
-        columns={
-            "n": n,
-            "ndot": ndot,
-            "A": n_elec0 + n_elec2,
-            "B": 2.0 * n_elec0 + n,
-        },
-    )
+    return Trace(x=ells, columns={"n": n, "A": n_elec0 + n_elec2, "B": 2.0 * n_elec0 + n})
 
 
 def lmax_ratio(alpha: float, n0_over_N: float) -> float:

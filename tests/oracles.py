@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the tests.
 
 Everything here deliberately avoids the package's own solution paths:
-dense matrix exponentials instead of banded eigendecompositions, and generic
+dense matrix exponentials instead of banded eigendecompositions, generic
 ODE integration of the interaction-picture H(tau) instead of the
-static-frame equivalence.
+static-frame equivalence, and the detuned mean-field form of the first
+resonance straight from ``scipy.special`` instead of ``qfel.specfun``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.special import ellipj, ellipk
 
-from qfel.core import BandedHermitianOperator
+from qfel.core import BandedHermitianOperator, FelParams
 
 
 def expm_populations(op: BandedHermitianOperator, psi0: np.ndarray, taus) -> np.ndarray:
@@ -57,3 +59,31 @@ def ode_populations(
         raise RuntimeError(sol.message)
     psi = sol.y[:size] + 1j * sol.y[size:]
     return (np.abs(psi) ** 2).T
+
+
+def detuned_n_first(ell, params: FelParams, detuned: bool = True):
+    """Mean-field photon number of ``third_order`` at finite N, and its first maximum.
+
+    The model couples mu to mu + 1 by C sqrt(mu (n0 + mu)) sqrt(1 - (mu - 1)/N) / 2, with the
+    bracket C = 1 - (alpha^2/8)(1 + 2 (n0 + 1)/N), and its mu-linear diagonal
+    -(alpha/4)(n0 + mu (1 + 1/N)) is a detuning delta = (alpha/4)(1 + 1/N) per photon.  Energy
+    is conserved from the seed mu = 0, so (dmu/dell)^2 = mu g(mu) with
+    g(mu) = C^2 (n0 + mu)(1 - (mu - 1)/N) - delta^2 mu = (C^2/N)(mu_max - mu)(mu - mu_neg),
+    mu_neg < 0 < mu_max.  A cubic with three real roots gives (A&S 17.4)
+    n = n0 + mu_max cn^2(lam ell - K(m), m), m = mu_max / (mu_max - mu_neg),
+    lam = sqrt(C^2 (mu_max - mu_neg) / N) / 2, which peaks at n0 + mu_max, ell = K(m) / lam.
+    With delta = 0 and N -> infinity it is ``analytic_n_first(order=3)``.
+
+    Returns (n at ell, first-maximum position, first-maximum amplitude).
+    """
+    alpha, n0, N = params.alpha, params.n0, params.N
+    c2 = (1.0 - (alpha**2 / 8.0) * (1.0 + 2.0 * (n0 + 1.0) / N)) ** 2
+    delta = (alpha / 4.0) * (1.0 + 1.0 / N) if detuned else 0.0
+    # g(mu) = -(C^2/N) mu^2 + b mu + C^2 n0 (1 + 1/N); mu_neg from the roots' product.
+    b = c2 * (1.0 + (1.0 - n0) / N) - delta**2
+    mu_max = N * (b + np.sqrt(b * b + 4.0 * c2 * c2 * n0 * (1.0 + 1.0 / N) / N)) / (2.0 * c2)
+    mu_neg = -N * n0 * (1.0 + 1.0 / N) / mu_max
+    m = mu_max / (mu_max - mu_neg)
+    lam, bigk = 0.5 * np.sqrt(c2 * (mu_max - mu_neg) / N), ellipk(m)
+    _, cn, _, _ = ellipj(lam * np.asarray(ell, dtype=float) - bigk, m)
+    return n0 + mu_max * cn**2, float(bigk / lam), n0 + mu_max

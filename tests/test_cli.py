@@ -608,6 +608,7 @@ def cli_calls(draw):
 
 
 class TestFuzz:
+    @pytest.mark.filterwarnings("ignore:alpha")
     @settings(max_examples=300, deadline=None, derandomize=True)
     @example(["fig2", "--end=nan"])
     @example(["fig4", "--alpha=1e300"])

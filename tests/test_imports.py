@@ -126,6 +126,9 @@ def test_package_exports_each_modules_public_names_once():
 def test_benchmark_tracer_targets_resolve():
     # perfbench/tracing.py rebinds these names on a traced run; a deleted or
     # renamed target would make ``Tracer.install`` fail with AttributeError.
+    # perfbench/workloads.py reads each cached validate trace back through
+    # ``ctx.collective_trace(*key)``; a signature change there would fail every
+    # benchmark validate op while the rest of Tier-1 stayed green.
     tracing = bench_module("tracing")
     import qfel.cli
     import qfel.validate
@@ -134,14 +137,6 @@ def test_benchmark_tracer_targets_resolve():
         assert callable(getattr(getattr(qfel, module), attr, None)), name
     assert callable(qfel.core.BandedHermitianOperator.dense)
     assert len(qfel.validate.CHECKS) == 9
-
-
-def test_benchmark_validate_traces_bind():
-    # perfbench/workloads.py reads each cached validate trace back through
-    # ``ctx.collective_trace(*key)``; a signature change there would fail every
-    # benchmark validate op while the rest of Tier-1 stayed green.
-    import qfel.validate
-
     signature = inspect.signature(qfel.validate.ValidationContext().collective_trace)
     for key, _check in bench_module("workloads").VALIDATE_TRACES:
         signature.bind(*key)
