@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from oracles import detuned_n_first, expm_populations
 from qfel import highgain
@@ -828,3 +829,41 @@ class TestLargeNLimit:
         ell = np.linspace(0.0, 6.5, 401)
         gap = np.max(np.abs(detuned_n_first(ell, params, detuned=False)[0] - analytic_n_first(ell, params)))
         assert gap < 1e-8 * params.N
+
+    # The detuned form is the reference of the third_order row, so it is held
+    # to its own defining equation, (dmu/dell)^2 = mu g(mu) with g written out
+    # unfactored, at validate's smallest N.
+    @staticmethod
+    def _detuned_energy(params):
+        alpha, n0, N = params.alpha, params.n0, params.N
+        bracket = 1.0 - (alpha**2 / 8.0) * (1.0 + 2.0 * (n0 + 1.0) / N)
+        delta = (alpha / 4.0) * (1.0 + 1.0 / N)
+        return lambda mu: bracket**2 * (n0 + mu) * (1.0 - (mu - 1.0) / N) - delta**2 * mu
+
+    def test_detuned_form_solves_its_energy_equation(self):
+        params = _params(1, alpha=0.5, n0=100.0, N=1000)
+        g = self._detuned_energy(params)
+        _, position, amplitude = detuned_n_first(0.0, params)
+        ell = np.linspace(0.0, position, 20001)
+        n = detuned_n_first(ell, params)[0]
+        mu = n - params.n0
+        assert mu[0] == 0.0 and n[-1] == pytest.approx(amplitude, rel=1e-14)
+        assert abs(g(amplitude - params.n0)) < 1e-12 * g(0.0)
+        rate = np.gradient(n, ell, edge_order=2)
+        assert np.max(np.abs(rate**2 - mu * g(mu))) < 1e-6 * np.max(mu * g(mu))
+
+    def test_detuned_form_peaks_at_its_quarter_period_integral(self):
+        # ell_max = int_0^mu_max dmu / sqrt(mu g(mu)); mu = mu_max sin^2 t removes
+        # both endpoint singularities.
+        params = _params(1, alpha=0.5, n0=100.0, N=1000)
+        g = self._detuned_energy(params)
+        _, position, amplitude = detuned_n_first(0.0, params)
+        mu_max = amplitude - params.n0
+        integral, _ = quad(
+            lambda t: 2.0 * np.sqrt(mu_max) * np.cos(t) / np.sqrt(g(mu_max * np.sin(t) ** 2)),
+            0.0,
+            np.pi / 2.0,
+            epsabs=0.0,
+            epsrel=1e-13,
+        )
+        assert position == pytest.approx(integral, rel=1e-12)
