@@ -18,11 +18,16 @@ from qfel import FelParams, lmax_exact, lmax_ratio
 N = 10_000
 
 
-def exact_ratio(alpha):
-    """L2/L1 from ``lmax_exact`` at n0/N = 0.1; quiet the warning for alpha above 1."""
+def seeded_params(alpha):
+    """High-gain params at n0/N = 0.1; quiet the warning for alpha above 1."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        p = FelParams(alpha=alpha, nu=1, n0=0.1 * N, N=N, context="high")
+        return FelParams(alpha=alpha, nu=1, n0=0.1 * N, N=N, context="high")
+
+
+def exact_ratio(alpha):
+    """L2/L1 from ``lmax_exact`` at n0/N = 0.1."""
+    p = seeded_params(alpha)
     return lmax_exact(p, 2) / lmax_exact(p, 1)
 
 
@@ -41,10 +46,10 @@ def main():
     print(f"\nseed ratio n0/N = 0.1, N = {N}:")
     print(f"  {'alpha':>6} {'L1 (nu=1)':>10} {'L2 (nu=2)':>10} {'L2/L1':>8} {'shorthand':>10} {'factor':>7}")
     for alpha in (0.1, 0.2, 0.3, 0.4, 0.5):
-        p = FelParams(alpha=alpha, nu=1, n0=0.1 * N, N=N, context="high")
+        p = seeded_params(alpha)
         l1 = lmax_exact(p, 1)
         l2 = lmax_exact(p, 2)
-        shorthand = lmax_ratio(alpha, 0.1)
+        shorthand = lmax_ratio(p)
         exact = l2 / l1
         factor = max(shorthand / exact, exact / shorthand)
         print(
@@ -57,11 +62,11 @@ def main():
 
     # The shorthand ratio scales as 1/alpha, so it crosses one at a finite
     # coupling even though every quantum-regime value sits well above one.
-    crossover = lmax_ratio(1.0, 0.1)
+    crossover = lmax_ratio(seeded_params(1.0))
     exact = exact_crossover()
     print(f"\n  {'alpha':>6} {'shorthand L2/L1':>16} {'exact L2/L1':>12}")
     for alpha in (1.0, exact, 2.0):
-        print(f"  {alpha:6.3f} {lmax_ratio(alpha, 0.1):16.3f} {exact_ratio(alpha):12.3f}")
+        print(f"  {alpha:6.3f} {lmax_ratio(seeded_params(alpha)):16.3f} {exact_ratio(alpha):12.3f}")
     print(f"\n  shorthand crossover: alpha* = {crossover:.3f} at n0/N = 0.1")
     print(f"  exact crossover:     alpha* = {exact:.3f} at n0/N = 0.1")
 

@@ -272,7 +272,7 @@ def _sweep_point_high(alpha: float, n0: float, nu: int, electrons: int) -> list:
     if nu in (1, 2):
         # Closed-form ceiling of the first maximum, for the resonances lmax_exact accepts.
         row[5] = n0 + nu * electrons
-    row[7] = attempt(lmax_ratio, alpha, params.seed_ratio)
+    row[7] = attempt(lmax_ratio, params)
     row[8] = attempt(lmax_exact, params, 2) / attempt(lmax_exact, params, 1)
     row[9] = "; ".join(errors)
     return row

@@ -507,14 +507,12 @@ def integrate_semiclassical(
     return Trace(x=ells, columns={"n": n, "A": n_elec0 + n_elec2, "B": 2.0 * n_elec0 + n})
 
 
-def lmax_ratio(alpha: float, n0_over_N: float) -> float:
-    """Logarithmic shorthand for L_max(second) / L_max(first).
+def lmax_ratio(params: FelParams) -> float:
+    """Logarithmic shorthand for L_max(second) / L_max(first): lmax_exact(params, 2) / ln(N/n0).
 
-    ratio = (1/alpha) * pi / (2 ln(sqrt(N/n0)) * sqrt((n0/N)(n0/N + 2))).
-    This replaces the elliptic integral of the exact first-resonance length
-    by a leading logarithm, so it is only an order-of-magnitude guide; its
-    accuracy against ``lmax_exact`` is measured, not assumed.  Against
-    ``lmax_exact(., 2) / lmax_exact(., 1)`` it drops:
+    ln(N/n0) = 2 ln sqrt(N/n0) stands in for the exact first-resonance length
+    ``lmax_exact(params, 1)``, an elliptic integral, so the shorthand is only
+    an order-of-magnitude guide whose accuracy is measured, not assumed.  It drops:
 
     * the ln 4 of K's logarithmic asymptote, K(k) = ln(4/k') + o(1) as
       k -> 1 (Abramowitz & Stegun 17.3.26), with k'^2 = (n0/N)/(1 + n0/N);
@@ -523,15 +521,13 @@ def lmax_ratio(alpha: float, n0_over_N: float) -> float:
 
     Since the kept ln sqrt(N/n0) grows only logarithmically, approx/exact
     tends to 1 only logarithmically as n0/N -> 0 (at alpha = 0.01: 1.60 at
-    n0/N = 1e-2, 1.15 at 1e-8).  Scales as 1/alpha.  Rejected for n0 >= N, where the logarithm
-    vanishes or turns negative.
+    n0/N = 1e-2, 1.15 at 1e-8).  Scales as 1/alpha.  ``lmax_exact`` checks
+    the params; n0 >= N, where the logarithm vanishes or turns negative, is refused.
     """
-    if not 0.0 < n0_over_N < 1.0:
+    length = lmax_exact(params, 2)
+    if not params.seed_ratio < 1.0:
         raise ValueError("the logarithmic form needs 0 < n0/N < 1")
-    if not (alpha > 0 and np.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    log = np.log(np.sqrt(1.0 / n0_over_N))
-    return float(np.pi / (2.0 * alpha * log * np.sqrt(n0_over_N * (n0_over_N + 2.0))))
+    return float(length / (2.0 * np.log(np.sqrt(1.0 / params.seed_ratio))))
 
 
 def _first_resonance_phase_factor(params: FelParams) -> float:

@@ -237,11 +237,11 @@ def check_maximum_length_shorthand(ctx: ValidationContext) -> CheckResult:
         for r in SHORTHAND_SEED_RATIOS:
             params = FelParams(alpha=alpha, nu=2, n0=r * 1000.0, N=1000, context="high")
             exact = lmax_exact(params, 2) / lmax_exact(params, 1)
-            approx = lmax_ratio(alpha, r)
+            approx = lmax_ratio(params)
             factor = max(approx / exact, exact / approx)
             if factor > worst:
                 worst, where = factor, (alpha, r)
-    crossover = lmax_ratio(1.0, 0.1)  # ratio scales as 1/alpha, so this is alpha*
+    crossover = lmax_ratio(_collective_params(alpha=1.0, nu=2))  # n0/N = 0.1; scales as 1/alpha, so this is alpha*
     return CheckResult("maximum-length shorthand accuracy", (
         Gate(f"worst factor at alpha={where[0]} n0/N={where[1]}", worst, 2.5),
         Gate(f"unit-ratio crossover alpha {crossover:.3f} vs 3 rel dev", crossover / 3.0 - 1.0, 0.10),

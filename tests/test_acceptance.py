@@ -61,8 +61,11 @@ def _implied_log(alpha, r, ratio):
     return np.pi / (2.0 * alpha * np.sqrt(r * (r + 2.0)) * ratio)
 
 
-def _exact_ratio(alpha, r, N=1000):
-    params = FelParams(alpha=alpha, nu=2, n0=r * N, N=N, context="high")
+def _seeded(alpha, r, N=1000):
+    return FelParams(alpha=alpha, nu=2, n0=r * N, N=N, context="high")
+
+
+def _exact_ratio(params):
     return lmax_exact(params, 2) / lmax_exact(params, 1)
 
 
@@ -126,16 +129,18 @@ def test_maximum_length_shorthand_accuracy(verdicts):
     for alpha in SHORTHAND_ALPHAS:
         for r in SHORTHAND_SEED_RATIOS:
             kept = np.log(np.sqrt(1.0 / r))
-            assert _implied_log(alpha, r, lmax_ratio(alpha, r)) == pytest.approx(kept, abs=1e-12)
-            excess = _implied_log(alpha, r, _exact_ratio(alpha, r)) - kept
+            params = _seeded(alpha, r)
+            assert _implied_log(alpha, r, lmax_ratio(params)) == pytest.approx(kept, abs=1e-12)
+            excess = _implied_log(alpha, r, _exact_ratio(params)) - kept
             assert excess == pytest.approx(np.log(4.0), abs=0.1), (alpha, r)
     r = 1e-6
-    excess = _implied_log(0.01, r, _exact_ratio(0.01, r, N=10**9)) - np.log(np.sqrt(1.0 / r))
+    excess = _implied_log(0.01, r, _exact_ratio(_seeded(0.01, r, N=10**9))) - np.log(np.sqrt(1.0 / r))
     assert excess == pytest.approx(np.log(4.0), abs=1e-3)
 
     # With ln 4 dropped against a logarithm that grows only as ln sqrt(N/n0),
     # approx/exact falls towards 1, and only slowly, as n0/N -> 0.
-    over = [lmax_ratio(0.01, r) / _exact_ratio(0.01, r, N=10**9) for r in (1e-2, 1e-4, 1e-6, 1e-8)]
+    seeds = [_seeded(0.01, r, N=10**9) for r in (1e-2, 1e-4, 1e-6, 1e-8)]
+    over = [lmax_ratio(params) / _exact_ratio(params) for params in seeds]
     print(f"approx/exact at n0/N = 1e-2 ... 1e-8: {over}")
     assert all(a > b > 1.0 for a, b in zip(over, over[1:])), over
 

@@ -1,6 +1,7 @@
 """Command-line interface: CSV contracts, determinism, exit codes."""
 
 import contextlib
+import importlib
 import inspect
 import io
 import math
@@ -251,6 +252,16 @@ def test_readme_usage_names_exactly_each_runner_parameters():
     assert usage == {name: set(inspect.signature(cli._runner(name)).parameters) for name in cli._COMMANDS}
 
 
+def test_console_script_entry_point_is_cli_main():
+    # ``[project.scripts]`` names the ``qfel`` command's function as a
+    # "module:attr" string that nothing else imports; a regex, since tomllib
+    # needs Python 3.11 and the package supports 3.10.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.DOTALL | re.MULTILINE).group(1)
+    module, attr = re.search(r'^qfel\s*=\s*"([\w.]+):(\w+)"\s*$', section, re.MULTILINE).groups()
+    assert getattr(importlib.import_module(module), attr) is cli.main
+
+
 class TestSweepLow:
     def test_grid_shape_and_clean_errors(self, default_rows):
         _, header, cols = default_rows
@@ -338,9 +349,7 @@ class TestSweepHigh:
             assert cols["max_amplitude"][i] == n0 + nu * N
             # %.12g round-trip keeps twelve significant digits.
             assert cols["max_position"][i] == pytest.approx(lmax_exact(p, nu), rel=1e-9)
-            assert cols["length_ratio_shorthand"][i] == pytest.approx(
-                lmax_ratio(alpha, n0 / N), rel=1e-9
-            )
+            assert cols["length_ratio_shorthand"][i] == pytest.approx(lmax_ratio(p), rel=1e-9)
             assert cols["length_ratio_exact"][i] > 1.0
 
     @pytest.mark.filterwarnings("ignore:alpha")

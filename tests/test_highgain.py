@@ -636,8 +636,9 @@ class TestClosedForms:
 
 
 class TestSeedBoundary:
-    # The five collective closed forms take bare FelParams; ``_seed_ratio`` is
-    # their one check of the regime and the seed.
+    # The six collective closed forms take bare FelParams; ``_seed_ratio`` is
+    # their one check of the regime and the seed (``lmax_ratio`` reaches it
+    # through ``lmax_exact``).
     CLOSED_FORMS = {
         "analytic_n_first": lambda p: analytic_n_first(1.0, p),
         "analytic_n_second": lambda p: analytic_n_second(1.0, p),
@@ -645,6 +646,7 @@ class TestSeedBoundary:
         "integrate_semiclassical": lambda p: integrate_semiclassical(p, 1.0, 5),
         "lmax_exact_1": lambda p: lmax_exact(p, 1),
         "lmax_exact_2": lambda p: lmax_exact(p, 2),
+        "lmax_ratio": lmax_ratio,
     }
     REFUSED = {
         "low_context": (dict(n0=100.0, N=1000, context="low"), "need high-gain params, got context 'low'"),
@@ -719,24 +721,24 @@ class TestSemiclassical:
 
 class TestLengthFormulas:
     def test_ratio_reference_value(self):
-        # pi / (2 * 0.25 * ln(sqrt(10)) * sqrt(0.1 * 2.1)), frozen.
-        assert lmax_ratio(0.25, 0.1) == pytest.approx(11.909253176929694, rel=1e-14)
+        # lmax_exact(p, 2) / ln(N/n0) = pi / (2 * 0.25 * ln(sqrt(10)) * sqrt(0.1 * 2.1)), frozen.
+        assert lmax_ratio(_params(2)) == pytest.approx(11.909253176929694, rel=1e-14)
 
     def test_ratio_scales_inversely_with_alpha(self):
-        assert lmax_ratio(0.5, 0.1) == pytest.approx(lmax_ratio(0.25, 0.1) / 2.0, rel=1e-14)
+        assert lmax_ratio(_params(2, alpha=0.5)) == pytest.approx(lmax_ratio(_params(2)) / 2.0, rel=1e-14)
 
+    @pytest.mark.filterwarnings("ignore:alpha")
     def test_unit_ratio_crossover_near_three(self):
-        crossover = lmax_ratio(1.0, 0.1)
+        crossover = lmax_ratio(_params(2, alpha=1.0))
         assert crossover == pytest.approx(2.9773, abs=2e-4)
-        assert lmax_ratio(crossover, 0.1) == pytest.approx(1.0, rel=1e-14)
+        assert lmax_ratio(_params(2, alpha=crossover)) == pytest.approx(1.0, rel=1e-14)
 
     def test_ratio_domain(self):
-        for bad_r in (0.0, 1.0, 1.5, -0.1):
-            with pytest.raises(ValueError):
-                lmax_ratio(0.25, bad_r)
-        for bad_alpha in (0.0, np.inf, np.nan):
-            with pytest.raises(ValueError):
-                lmax_ratio(bad_alpha, 0.1)
+        # The params are checked in FelParams and at ``_seed_ratio``
+        # (TestSeedBoundary); the shorthand adds only its logarithm's domain.
+        for n0 in (1000.0, 1500.0):
+            with pytest.raises(ValueError, match=r"^the logarithmic form needs 0 < n0/N < 1$"):
+                lmax_ratio(_params(2, n0=n0))
 
     def test_exact_positions_match_sampled_curves(self):
         p1 = _params(1, alpha=0.25, n0=1000.0, N=10_000)

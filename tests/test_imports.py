@@ -123,64 +123,39 @@ def test_package_exports_each_modules_public_names_once():
             assert getattr(qfel, name) is getattr(module, name), name
 
 
-def test_benchmark_tracer_targets_resolve():
-    # perfbench/tracing.py rebinds these names on a traced run; a deleted or
-    # renamed target would make ``Tracer.install`` fail with AttributeError.
-    # perfbench/workloads.py reads each cached validate trace back through
-    # ``ctx.collective_trace(*key)``; a signature change there would fail every
-    # benchmark validate op while the rest of Tier-1 stayed green.
-    tracing = bench_module("tracing")
-    import qfel.cli
-    import qfel.validate
-
-    for name, (module, attr) in tracing.TARGETS.items():
-        assert callable(getattr(getattr(qfel, module), attr, None)), name
-    assert callable(qfel.core.BandedHermitianOperator.dense)
-    assert len(qfel.validate.CHECKS) == 9
-    signature = inspect.signature(qfel.validate.ValidationContext().collective_trace)
-    for key, _check in bench_module("workloads").VALIDATE_TRACES:
-        signature.bind(*key)
-
-
-def test_benchmark_tracer_argument_hooks_bind():
-    # The tracer's level counters read ``model``, ``sample_count`` and ``state``
-    # from each bound call by name; a renamed parameter would pass every
-    # untraced run and fail only a traced benchmark run.
-    from qfel import FelParams, HighGainModel, LadderState, LowGainModel, propagate, propagate_dicke
-
-    tracing = bench_module("tracing")
-    assert tracing._AFTER["highgain.propagate_dicke"] is tracing._dicke_levels
-    assert tracing._AFTER["lowgain.propagate"] is tracing._ladder_levels
-    tracer = tracing.Tracer("tier1")
-    high = FelParams(alpha=0.25, nu=1, n0=10.0, N=50, context="high")
-    model = HighGainModel(params=high, variant="third_order")
-    tracing._dicke_levels(tracer, inspect.signature(propagate_dicke).bind(model, 1.0, sample_count=5), None)
-    low = FelParams(alpha=0.25, nu=1, context="low")
-    state = LadderState.initial(low)
-    call = inspect.signature(propagate).bind(LowGainModel(params=low, variant="full_hamiltonian"), state, 1.0, sample_count=5)
-    tracing._ladder_levels(tracer, call, None)
-    assert tracer.counts["highgain.level_samples"] == 51 * 5
-    assert tracer.counts["lowgain.level_samples"] == state.amplitudes.size * 5
-
-
-def test_traced_run_counts_each_layer_and_restores_every_name():
+def test_traced_run_counts_each_layer_and_restores_every_name(tmp_path):
     # A traced benchmark run rebinds every ``tracing.TARGETS`` name and
-    # ``BandedHermitianOperator.dense``; each counter must see its call once,
-    # and ``uninstall`` must put every original back.
+    # ``BandedHermitianOperator.dense``; a deleted or renamed target would
+    # make ``Tracer.install`` fail.  Each counter must see its call once, the
+    # argument hooks read ``model``, ``state``, ``sample_count`` and ``argv``
+    # from each bound call by name, and ``uninstall`` must put every original
+    # back.  perfbench/workloads.py reads each cached validate trace back
+    # through ``ctx.collective_trace(*key)``; a signature change there would
+    # fail every benchmark validate op while the rest of Tier-1 stayed green.
     import qfel.cli
     import qfel.validate
     from qfel import FelParams, HighGainModel, LadderState, LowGainModel
 
     tracing = bench_module("tracing")
+    for name, (module, attr) in tracing.TARGETS.items():
+        assert callable(getattr(getattr(qfel, module), attr, None)), name
+    assert len(qfel.validate.CHECKS) == 9
+    signature = inspect.signature(qfel.validate.ValidationContext().collective_trace)
+    for key, _check in bench_module("workloads").VALIDATE_TRACES:
+        signature.bind(*key)
+
     originals = {name: getattr(getattr(qfel, module), attr) for name, (module, attr) in tracing.TARGETS.items()}
     dense = qfel.core.BandedHermitianOperator.dense
     low = FelParams(alpha=0.25, nu=2, context="low")
+    state = LadderState.initial(low)
     high = FelParams(alpha=0.25, nu=1, n0=10.0, N=50, context="high")
+    out = tmp_path / "fig4.csv"
     tracer = tracing.Tracer("tier1")
     tracer.install(qfel)
     try:
-        qfel.lowgain.propagate(LowGainModel(params=low, variant="effective"), LadderState.initial(low), 5.0, 11)
+        qfel.lowgain.propagate(LowGainModel(params=low, variant="effective"), state, 5.0, 11)
         qfel.highgain.propagate_dicke(HighGainModel(params=high, variant="third_order"), 1.0, 5)
+        assert qfel.cli.main(["fig4", "--samples", "5", "--out", str(out)]) == 0
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()
@@ -188,6 +163,10 @@ def test_traced_run_counts_each_layer_and_restores_every_name():
     assert metrics["lowgain.propagate_calls"] == (1, "count")
     assert metrics["highgain.eigh_tridiagonal_calls"] == (1, "count")
     assert metrics["highgain.eigvec_bytes"] == (51**2 * 8, "bytes")
+    assert metrics["lowgain.level_samples"] == (state.amplitudes.size * 11, "count")
+    assert metrics["highgain.level_samples"] == (51 * 5, "count")
+    assert metrics["cli.calls"] == (1, "count")
+    assert metrics["cli.csv_bytes"] == (out.stat().st_size, "bytes")
     for name, (module, attr) in tracing.TARGETS.items():
         assert getattr(getattr(qfel, module), attr) is originals[name], name
     assert qfel.core.BandedHermitianOperator.dense is dense
