@@ -55,9 +55,9 @@ VARIANTS: Dict[int, tuple[str, ...]] = {
     2: ("dicke_only", "full_second_order"),
 }
 
-#: Bytes of the (N+1)^2 eigenvector matrix up to which ``propagate_dicke`` takes
-#: the eigendecomposition route (N <= 11584); beyond it Chebyshev takes over.  A
-#: constant, not the host's free memory, so every machine takes the same route.
+#: Bytes of the (N+1)^2 eigenvectors (the work tail after them is extra) up to
+#: which ``propagate_dicke`` takes the eigh route (N <= 11584), else Chebyshev.
+#: A constant, not the host's free memory, so every machine takes the same route.
 EIGH_BYTES = 2**30
 
 #: K-panel depth of OpenBLAS's double GEMM on its SkylakeX target
@@ -140,17 +140,46 @@ def jv(order, z):
     return bessel_j(order, z)
 
 
-def eigh_tridiagonal(d, e, **kwargs):
-    """Eigenvalues and eigenvectors of a real symmetric tridiagonal, from ``scipy.linalg``.
+def eigh_tridiagonal(d, e, spare=0):
+    """Eigenvalues w and eigenvectors v of a real symmetric tridiagonal, from LAPACK ``dstemr``.
 
-    ``scipy.linalg`` takes longer to import than the rest of the package and
-    only the eigendecomposition route needs it, so it is imported on the
-    first call.  The name stays a module global so the route's call
-    resolves (and can be counted) here.
+    It calls the routine that ``scipy.linalg.eigh_tridiagonal(d, e,
+    lapack_driver="stemr")`` calls, with the same work sizes and ``tryrac``,
+    so w and v are SciPy's bit for bit; d and e are copied, since ``dstemr``
+    overwrites them.  Returns (w, v, mapping): v is the F-ordered head of one
+    private anonymous mapping whose last ``spare`` doubles start on a page.
+    Its pages bypass the heap and go back to the OS once its last view goes.
+    ``scipy.linalg`` is slow to import, so it is imported on the first call;
+    the name stays a module global so the route's call resolves (and can be
+    counted) here.
     """
-    from scipy.linalg import eigh_tridiagonal as solve
+    import ctypes
+    import mmap
 
-    return solve(d, e, **kwargs)
+    from scipy.linalg import cython_lapack
+
+    capsule, api = cython_lapack.__pyx_capi__["dstemr"], ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))(capsule)
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    dstemr = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 21)(address(capsule, name))
+    n = d.size
+    if np.shape(e) != (n - 1,):  # dstemr reads n - 1 of them
+        raise ValueError(f"e must hold n - 1 = {n - 1} couplings, got shape {np.shape(e)}")
+    head = -(-8 * n * n // mmap.PAGESIZE) * mmap.PAGESIZE
+    mapping = mmap.mmap(-1, head + 8 * spare, flags=mmap.MAP_PRIVATE)  # shared pages outlive MADV_DONTNEED
+    v = np.frombuffer(mapping, count=n * n).reshape(n, n, order="F")
+    d, e = np.array(d, dtype=float), np.append(np.asarray(e, dtype=float), 0.0)  # e padded to n, as SciPy pads it
+    w, isuppz, work, iwork = np.empty(n), np.empty(2 * n, np.intc), np.empty(18 * n), np.empty(10 * n, np.intc)
+    size, index, found, tryrac, lwork, liwork, info = (ctypes.c_int(k) for k in (n, 0, 0, 1, 18 * n, 10 * n, 0))
+    bound, ref = ctypes.c_double(0.0), ctypes.byref  # RANGE = "A" reads neither the value nor the index bounds
+    dstemr(
+        b"V", b"A", ref(size), d.ctypes.data, e.ctypes.data, ref(bound), ref(bound), ref(index), ref(index),
+        ref(found), w.ctypes.data, v.ctypes.data, ref(size), ref(size), isuppz.ctypes.data, ref(tryrac),
+        work.ctypes.data, ref(lwork), iwork.ctypes.data, ref(liwork), ref(info),
+    )
+    if info.value:
+        raise RuntimeError(f"tridiagonal eigensolver failed: stemr info = {info.value}")
+    return w, v, mapping
 
 
 def _gemm_pieces(support: np.ndarray, n: int, width: int) -> list[tuple[int, int]]:
@@ -188,28 +217,6 @@ def _gemm_pieces(support: np.ndarray, n: int, width: int) -> list[tuple[int, int
     return pieces
 
 
-def _work_columns(support: np.ndarray, n: int, samples: int) -> slice | None:
-    """Eigenvector columns that can hold ``_eigh_blocks``' work arrays, or None.
-
-    The work arrays are the GEMM block and the piece buffer, 2 min(128,
-    samples) columns of n rows each, and three observable scratch arrays of
-    min(64, samples) columns.  The GEMM reads only the columns its pieces
-    cover, for the full block width and for the last block's, so the
-    columns left of the first piece or right of the last are free once the
-    support is known.  The left run is taken when it is wide enough, else
-    the right one; None when neither is.
-    """
-    need = 4 * min(128, samples) + 3 * min(64, samples)
-    widths = {2 * min(128, samples), 2 * (samples % 128 or 128)}
-    pieces = [piece for width in widths for piece in _gemm_pieces(support, n, width)]
-    lo, hi = min(p[0] for p in pieces), max(p[1] for p in pieces)
-    if lo >= need:
-        return slice(0, need)
-    if n - hi >= need:
-        return slice(hi, hi + need)
-    return None
-
-
 def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     """Amplitudes from one eigendecomposition, exact in ell, 64 samples per block.
 
@@ -227,31 +234,32 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     result is handed out as 64-sample views of that block, the shapes the
     observable sums were recorded with; the next block overwrites them.
 
-    The block, the buffer and the observable scratch live in eigenvector
-    columns the GEMM never reads (``_work_columns``), which the F-ordered
-    matrix holds as one contiguous run, so the call allocates nothing of
-    size N+1 beyond the matrix itself.  Only when neither side of the
-    pieces has room (at N = 1000 with n0 = N/10, whose pieces come within
-    704 columns of both ends, or on a ladder narrower than the arrays) are
-    they allocated, once per call.
+    ``eigh_tridiagonal`` writes the eigenvectors into one anonymous mapping
+    whose tail holds the block, the buffer and the observable scratch (704
+    columns from 128 samples on).  Once the support is known, the
+    eigenvector columns left of the first GEMM piece and right of the last,
+    for both block widths, go back to the OS before the tail is touched, so
+    the tail lifts the peak above the solve's only where fewer are unread.
+    The mapping is unmapped once the caller drops the last block.
 
     The sizes keep every output bit: a GEMM 512 columns wide, observable
     sums over 128 samples, or a piece that moves a panel edge all change
     the roundoff of the outputs; trimming zero rows inside a panel does not.
     """
-    try:
-        w, v = eigh_tridiagonal(d, a, lapack_driver="stemr")
-    except np.linalg.LinAlgError as err:
-        raise RuntimeError(f"tridiagonal eigensolver failed: {err}") from err
+    import mmap
+
+    n, width = d.size, min(128, steps.size)
+    block = n * 2 * width
+    spare = 2 * block + 3 * n * min(64, steps.size)
+    w, v, mapping = eigh_tridiagonal(d, a, spare)
     support = np.flatnonzero(v[0])
     w, u = w[support], v[0, support]
-    n = v.shape[0]
-    block = n * 2 * min(128, steps.size)
-    columns = _work_columns(support, n, steps.size)
-    if columns is None:
-        work = np.empty(2 * block + 3 * n * min(64, steps.size))
-    else:
-        work = v[:, columns].ravel(order="F")
+    pieces = [p for k in {width, steps.size % 128 or 128} for p in _gemm_pieces(support, n, 2 * k)]
+    left = 8 * n * min(p[0] for p in pieces) // mmap.PAGESIZE * mmap.PAGESIZE
+    right = -(-8 * n * max(p[1] for p in pieces) // mmap.PAGESIZE) * mmap.PAGESIZE
+    mapping.madvise(mmap.MADV_DONTNEED, 0, left)
+    mapping.madvise(mmap.MADV_DONTNEED, right)  # up to the end: the tail is not touched yet
+    work = np.frombuffer(mapping, offset=len(mapping) - 8 * spare)
     out, buffer, scratch = work[:block], work[block : 2 * block], work[2 * block :]
     for start in range(0, steps.size, 128):
         t = steps[start : start + 128]
@@ -370,6 +378,8 @@ def _propagate_dicke(model: HighGainModel, ell_end: float, sample_count: int, bl
     steps = sample_axis(ell_end, sample_count)
     bands = build_dicke_tridiagonal(model).bands
     d, a = bands[0], bands[1]
+    if not (np.isfinite(d).all() and np.isfinite(a).all()):  # else stemr can fail or never return
+        raise ValueError(f"n0 = {p.n0} and N = {p.N} put the collective couplings outside floating-point range")
     mus = np.arange(p.N + 1, dtype=float)
     n_out, norm_out, energy_out = np.empty((3, sample_count))
     prob_out = np.empty((p.N + 1, sample_count)) if keep_levels else None

@@ -2,7 +2,10 @@
 
 import ctypes
 import inspect
-import tracemalloc
+import mmap
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -137,6 +140,35 @@ class TestCoefficients:
         assert np.array_equal(op.dense(), expected)
 
 
+class TestEigensolver:
+    @pytest.mark.parametrize(
+        "case",
+        [(nu, variant, N) for N in (200, 1) for nu in VARIANTS for variant in VARIANTS[nu]] + ["graded"],
+    )
+    def test_matches_scipy_stemr_bit_for_bit_and_keeps_its_inputs(self, case):
+        from scipy.linalg import eigh_tridiagonal
+
+        if case == "graded":  # dstemr's eigenvalues on this matrix move with its tryrac flag
+            rng = np.random.default_rng(1)
+            d = np.exp(rng.uniform(-10.0, 10.0, 300))
+            e = 1e-3 * np.sqrt(d[:-1] * d[1:]) * rng.standard_normal(299)
+        else:
+            nu, variant, N = case
+            bands = build_dicke_tridiagonal(HighGainModel(params=_params(nu, n0=20.0, N=N), variant=variant)).bands
+            d, e = bands[0], bands[1]
+        d_in, e_in = d.copy(), e.copy()
+        w, v, _ = highgain.eigh_tridiagonal(d, e)
+        w_ref, v_ref = eigh_tridiagonal(d, e, lapack_driver="stemr")
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+        assert v.flags.f_contiguous
+        assert np.array_equal(d, d_in) and np.array_equal(e, e_in)
+
+    def test_couplings_must_number_one_less_than_the_levels(self):
+        # dstemr would read past the end of a shorter band.
+        with pytest.raises(ValueError, match=r"e must hold n - 1 = 9 couplings, got shape \(8,\)"):
+            highgain.eigh_tridiagonal(np.zeros(10), np.ones(8))
+
+
 def _openblas_core():
     """Core name of the OpenBLAS bundled in ``numpy.libs`` (e.g. "SkylakeX"), or None."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
@@ -249,72 +281,58 @@ class TestPanelRange:
                 assert np.array_equal(c, v @ b), (n, width, pieces)
 
 
-class TestWorkColumns:
-    # ``_eigh_blocks`` keeps its work arrays in eigenvector columns that no
-    # GEMM piece reads; ``_work_columns`` picks them.
+_RSS_PROBE = """
+import os
+from qfel import FelParams, HighGainModel, propagate_dicke
 
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_never_overlaps_a_gemm_piece_and_falls_back_only_without_room(self, data):
-        n = data.draw(st.integers(2, 12_001), label="n")
-        lo = data.draw(st.integers(0, n - 1), label="lo")
-        hi = data.draw(st.integers(lo + 1, n), label="hi")
-        support = np.arange(lo, hi)
-        if data.draw(st.booleans(), label="gapped"):
-            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="gaps"))
-            support = np.union1d(support[rng.random(support.size) < 0.3], [lo, hi - 1])
-        samples = data.draw(st.integers(2, 3000), label="samples")
-        # Every block is 2 * 128 wide but the last, 2 * (samples mod 128) wide.
-        widths = {2 * len(range(start, min(start + 128, samples))) for start in range(0, samples, 128)}
-        pieces = [piece for width in widths for piece in highgain._gemm_pieces(support, n, width)]
-        columns = highgain._work_columns(support, n, samples)
-        # Columns of n rows: the block and the buffer, then three scratch arrays.
-        need = 2 * 2 * min(128, samples) + 3 * min(64, samples)
-        room = min(p[0] for p in pieces) >= need or n - max(p[1] for p in pieces) >= need
-        assert (columns is None) == (not room)
-        if columns is not None:
-            assert 0 <= columns.start and columns.stop - columns.start == need and columns.stop <= n
-            for first, last in pieces:
-                assert columns.stop <= first or last <= columns.start, (columns, first, last)
+def resident_mib():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
 
-    def test_known_cases(self):
-        # N = 2000 dicke_only at 2001 samples: rows 931-1069, room on the left.
-        assert highgain._work_columns(np.arange(931, 1070), 2001, 2001) == slice(0, 704)
-        # Exactly 704 free columns on the left suffice; the right has 632.
-        assert highgain._work_columns(np.arange(704, 768), 1400, 2001) == slice(0, 704)
-        # A support near the start leaves room on the right.
-        assert highgain._work_columns(np.arange(0, 310), 3001, 2001) == slice(310, 1014)
-        # N = 1000 first_order reaches both ends; a short ladder has no room.
-        assert highgain._work_columns(np.arange(0, 1001), 1001, 2001) is None
-        assert highgain._work_columns(np.arange(5, 10), 17, 11) is None
+def run(N):
+    params = FelParams(alpha=0.25, nu=2, n0=N / 10, N=N, context="high")
+    propagate_dicke(HighGainModel(params=params, variant="dicke_only"), 45.0, 2001)
 
-    def test_eigh_route_allocates_nothing_beyond_the_eigenvectors(self, monkeypatch):
-        # N = 2000 dicke_only keeps 139 of 2001 eigenvectors, so the block,
-        # buffer and observable scratch fit in the columns the GEMM never reads.
-        model = HighGainModel(params=_params(2, alpha=0.25, n0=200.0, N=2000), variant="dicke_only")
-        original = highgain.eigh_tridiagonal
-        original(np.zeros(2), np.ones(1), lapack_driver="stemr")  # import scipy.linalg untraced
-        returned = []
+run(1000)
+before = resident_mib()
+run(2000)
+run(2000)
+print(resident_mib() - before)
+"""
 
-        def recording(*args, **kwargs):
-            w, v = original(*args, **kwargs)
-            returned.append(v.nbytes)
-            return w, v
 
-        monkeypatch.setattr(highgain, "eigh_tridiagonal", recording)
-        tracemalloc.start()
-        try:
-            _on_route(model, 45.0, 2001, "eigh")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= returned[0] + 2 * 2**20, (peak, returned)
+class TestWorkTail:
+    # ``_eigh_blocks`` keeps its work arrays in the tail of the one mapping
+    # that holds the eigenvectors, and releases the columns no GEMM piece reads.
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="resident size is read from /proc/self/statm")
+    def test_eigenvector_pages_go_back_to_the_os_when_the_call_returns(self):
+        # Two N = 2000 calls, 32 MB of eigenvectors each, after a warm-up.
+        # Through the C heap the freed matrix stayed resident (+32.9 MiB).
+        src = str(Path(highgain.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", _RSS_PROBE], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert float(proc.stdout) <= 8.0, proc.stdout
+
+    def test_released_columns_give_their_memory_back(self):
+        # MADV_DONTNEED frees the pages of a private mapping, which then read
+        # as zeros; a shared mapping would keep them, and their memory, until
+        # it is unmapped, while resident size no longer counted them.
+        model = HighGainModel(params=_params(2, n0=20.0, N=200), variant="dicke_only")
+        bands = build_dicke_tridiagonal(model).bands
+        _, v, mapping = highgain.eigh_tridiagonal(bands[0], bands[1])
+        column = v[:, 0].copy()
+        mapping.madvise(mmap.MADV_DONTNEED, 0, mmap.PAGESIZE)
+        assert column.any() and not v[:, 0].any()
 
     @pytest.mark.parametrize("k", [64, 17, 81])
     def test_in_place_observables_equal_the_plain_expressions_bit_for_bit(self, k):
         # k = 17 and 81 are the last GEMM blocks of 401 and 2001 samples; the
-        # views have the block's row stride 2k, and the scratch starts at an
-        # odd column of an odd-height F-ordered matrix, as in the eigenvectors.
+        # views have the block's row stride 2k.  The scratch starts an odd
+        # number of doubles into its buffer, off the page that starts it in the
+        # mapping's tail, so its alignment is shown not to move the sums.
         rng = np.random.default_rng(k)
         n, n0, s = 1001, 100.0, 2
         c = rng.standard_normal((n, 2 * k)) / np.sqrt(n)
@@ -369,7 +387,7 @@ class TestPropagation:
         # The eigh route computes phases only where the seed weight v[0, j] is
         # nonzero; at N = 200 stemr returns exact zeros, so that path runs.
         bands = build_dicke_tridiagonal(model).bands
-        _, v = highgain.eigh_tridiagonal(bands[0], bands[1], lapack_driver="stemr")
+        _, v, _ = highgain.eigh_tridiagonal(bands[0], bands[1])
         assert np.any(v[0] == 0.0)
         # 300 samples: two 128-sample GEMM blocks, a 44-sample tail, 64-sample views.
         _assert_eigh_matches_chebyshev(model, span, 300)
@@ -386,7 +404,7 @@ class TestPropagation:
             model = HighGainModel(params=_params(nu, alpha=alpha, n0=200.0, N=2000), variant=variant)
             bands = build_dicke_tridiagonal(model).bands
             d, a = bands[0], bands[1]
-            w, v = highgain.eigh_tridiagonal(d, a, lapack_driver="stemr")
+            w, v, _ = highgain.eigh_tridiagonal(d, a)
             support = np.flatnonzero(v[0])
             assert (support[0], support[-1] + 1) == rows
             assert highgain._gemm_pieces(support, v.shape[0], 256) == pieces
@@ -406,14 +424,23 @@ class TestPropagation:
                 assert np.max(np.abs(trace.column(name) - ref)) <= 1e-12 * scale, name
             _assert_eigh_matches_chebyshev(model, 2.0, 5)
 
-    def test_eigensolver_failure_is_a_runtime_error(self, monkeypatch):
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("stemr info = 22")
+    def test_eigensolver_failure_is_a_runtime_error(self):
+        # An infinite coupling, which ``_propagate_dicke`` refuses before the
+        # solve, makes dstemr report a nonzero info.
+        e = np.ones(9)
+        e[3] = np.inf
+        with pytest.raises(RuntimeError, match="tridiagonal eigensolver failed: stemr info = "):
+            highgain.eigh_tridiagonal(np.zeros(10), e)
 
-        monkeypatch.setattr(highgain, "eigh_tridiagonal", failing)
-        model = HighGainModel(params=_params(1, n0=4.0, N=16), variant="third_order")
-        with pytest.raises(RuntimeError, match="tridiagonal eigensolver failed: stemr info = 22"):
-            _on_route(model, 6.0, 7, "eigh")
+    @pytest.mark.parametrize("route", ["eigh", "chebyshev"])
+    def test_couplings_outside_floating_point_range_are_refused(self, route):
+        # (n0 + 2 mu)^2 overflows, so a(mu) is inf.  Unchecked, SciPy's
+        # eigensolver refused the band with its own message, the Chebyshev
+        # degree failed to convert inf to an integer, and dstemr on a NaN
+        # band does not return.
+        model = HighGainModel(params=_params(2, n0=1e160, N=10), variant="dicke_only")
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"n0 = 1e\+160 and N = 10 put"):
+            _on_route(model, 1.0, 3, route)
 
     def test_chebyshev_series_is_set_up_once_per_call(self, monkeypatch):
         # The samples are equally spaced, so one set of Bessel coefficients serves every step.
