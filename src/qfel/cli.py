@@ -462,8 +462,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     if args.command == "validate":
-        # validate takes no values, so an error there is a fault: it keeps its traceback.
-        return run_validate()
+        # validate takes no values, so an error there is a fault: it keeps its
+        # traceback, unless the host lacks what a route calls.
+        try:
+            return run_validate()
+        except OSError as err:  # e.g. no OpenBLAS bundled with NumPy for the eigh route
+            print(f"error: {err}", file=sys.stderr)
+            return 1
     print(f"wrote {path}")
     return 0
 

@@ -65,6 +65,11 @@ EIGH_BYTES = 2**30
 #: OpenBLAS runs on AVX-512 hosts.  ``_gemm_pieces`` cuts the eigenbasis
 #: GEMM into one piece per panel.
 _GEMM_PANEL = 384
+#: Most output rows of one eigenbasis GEMM call.  OpenBLAS packs a call's
+#: whole row range, a panel deep, into a buffer it never gives back
+#: (384 x 10001 doubles, 29 MiB, at N = 10^4), so ``_row_chunks`` cuts the
+#: rows into calls of at most this many.
+_GEMM_ROWS = 1024
 #: Output columns the same target blocks by at a full panel depth
 #: (DGEMM_DEFAULT_P); at a shorter depth it takes proportionally more.
 _GEMM_P = 192
@@ -140,46 +145,86 @@ def jv(order, z):
     return bessel_j(order, z)
 
 
+_OPENBLAS = None
+
+
+def _openblas():
+    """The OpenBLAS that NumPy's wheel bundles (``numpy.libs/libscipy_openblas64_*``), opened once.
+
+    ``import numpy`` has mapped it already, so opening it maps nothing new.
+    It is the one place the package looks the library up; without it the
+    eigh route cannot run, which is an ``OSError`` with a one-line message.
+    """
+    global _OPENBLAS
+    if _OPENBLAS is None:
+        import ctypes
+        import glob
+        import os
+
+        libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+        found = sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*")))
+        if not found:
+            raise OSError(f"the eigh route calls dstemr from NumPy's bundled OpenBLAS, and {libs} holds none")
+        _OPENBLAS = ctypes.CDLL(found[0])
+    return _OPENBLAS
+
+
 def eigh_tridiagonal(d, e, spare=0):
     """Eigenvalues w and eigenvectors v of a real symmetric tridiagonal, from LAPACK ``dstemr``.
 
-    It calls the routine that ``scipy.linalg.eigh_tridiagonal(d, e,
-    lapack_driver="stemr")`` calls, with the same work sizes and ``tryrac``,
-    so w and v are SciPy's bit for bit; d and e are copied, since ``dstemr``
-    overwrites them.  Returns (w, v, mapping): v is the F-ordered head of one
-    private anonymous mapping whose last ``spare`` doubles start on a page.
-    Its pages bypass the heap and go back to the OS once its last view goes.
-    ``scipy.linalg`` is slow to import, so it is imported on the first call;
-    the name stays a module global so the route's call resolves (and can be
-    counted) here.
+    It calls ``scipy_dstemr_64_`` (64-bit integers) in NumPy's bundled
+    OpenBLAS with the work sizes and ``tryrac`` of
+    ``scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")``, so w and
+    v are SciPy's bit for bit while no SciPy module is loaded; d and e are
+    copied, since ``dstemr`` overwrites them.  Returns (w, v, mapping): v is
+    the F-ordered head of one private anonymous mapping whose last ``spare``
+    doubles start on a page.  Its pages bypass the heap and go back to the OS
+    once its last view goes.  The name stays a module global so the route's
+    call resolves (and can be counted) here.
     """
     import ctypes
     import mmap
 
-    from scipy.linalg import cython_lapack
-
-    capsule, api = cython_lapack.__pyx_capi__["dstemr"], ctypes.pythonapi
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))(capsule)
-    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
-    dstemr = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 21)(address(capsule, name))
     n = d.size
     if np.shape(e) != (n - 1,):  # dstemr reads n - 1 of them
         raise ValueError(f"e must hold n - 1 = {n - 1} couplings, got shape {np.shape(e)}")
+    # 21 arguments, then the lengths of the two one-character ones, as gfortran passes them.
+    prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 21, ctypes.c_size_t, ctypes.c_size_t)
+    dstemr = prototype(("scipy_dstemr_64_", _openblas()))
     head = -(-8 * n * n // mmap.PAGESIZE) * mmap.PAGESIZE
     mapping = mmap.mmap(-1, head + 8 * spare, flags=mmap.MAP_PRIVATE)  # shared pages outlive MADV_DONTNEED
     v = np.frombuffer(mapping, count=n * n).reshape(n, n, order="F")
     d, e = np.array(d, dtype=float), np.append(np.asarray(e, dtype=float), 0.0)  # e padded to n, as SciPy pads it
-    w, isuppz, work, iwork = np.empty(n), np.empty(2 * n, np.intc), np.empty(18 * n), np.empty(10 * n, np.intc)
-    size, index, found, tryrac, lwork, liwork, info = (ctypes.c_int(k) for k in (n, 0, 0, 1, 18 * n, 10 * n, 0))
+    w, isuppz, work, iwork = np.empty(n), np.empty(2 * n, np.int64), np.empty(18 * n), np.empty(10 * n, np.int64)
+    size, index, found, tryrac, lwork, liwork, info = (ctypes.c_int64(k) for k in (n, 0, 0, 1, 18 * n, 10 * n, 0))
     bound, ref = ctypes.c_double(0.0), ctypes.byref  # RANGE = "A" reads neither the value nor the index bounds
     dstemr(
         b"V", b"A", ref(size), d.ctypes.data, e.ctypes.data, ref(bound), ref(bound), ref(index), ref(index),
         ref(found), w.ctypes.data, v.ctypes.data, ref(size), ref(size), isuppz.ctypes.data, ref(tryrac),
-        work.ctypes.data, ref(lwork), iwork.ctypes.data, ref(liwork), ref(info),
+        work.ctypes.data, ref(lwork), iwork.ctypes.data, ref(liwork), ref(info), 1, 1,
     )
     if info.value:
         raise RuntimeError(f"tridiagonal eigensolver failed: stemr info = {info.value}")
     return w, v, mapping
+
+
+def _row_chunks(n: int, width: int) -> list[tuple[int, int]]:
+    """Output row ranges [lo, hi) of the eigenbasis GEMM calls: the fewest of at most ``_GEMM_ROWS`` rows.
+
+    NumPy hands OpenBLAS the transposed product, so output rows are
+    OpenBLAS's columns, which its kernel takes in groups that share no sums;
+    cutting between groups moves no bit as long as no call goes to another
+    kernel.  So the chunks start on multiples of 16 rows, whole groups, and
+    are near-equal, which keeps the last one from being short enough for the
+    small-matrix kernel.  A width above ``_GEMM_P`` that is not a multiple of
+    8 is the exception: its edge columns are summed in an order set by how
+    the threads split the rows, so that product stays one call.
+    """
+    if width > _GEMM_P and width % 8:
+        return [(0, n)]
+    count = -(-n // _GEMM_ROWS)
+    size = -(-n // (16 * count)) * 16
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _gemm_pieces(support: np.ndarray, n: int, width: int) -> list[tuple[int, int]]:
@@ -196,12 +241,13 @@ def _gemm_pieces(support: np.ndarray, n: int, width: int) -> list[tuple[int, int
     another order, so those pieces keep the whole panel.  The tail's two
     halves are added to the output one by one, so a support that reaches the
     tail keeps a single piece from its first panel's edge to n.  A piece
-    small enough for the small-matrix kernel would be summed in one run, so
-    it is widened inside its panel, and if a whole panel is that small the
-    product keeps every row.
+    small enough for the small-matrix kernel in the shortest of the
+    ``_row_chunks`` calls would be summed in one run, so it is widened inside
+    its panel, and if a whole panel is that small the product keeps every row.
     """
     split = _GEMM_PANEL * max(0, (n - _GEMM_PANEL) // _GEMM_PANEL)
-    need = _GEMM_SMALL // (n * width) + 1
+    rows = min(hi - lo for lo, hi in _row_chunks(n, width))
+    need = _GEMM_SMALL // (rows * width) + 1
     if need > _GEMM_PANEL:
         return [(0, n)]
     edges = support // _GEMM_PANEL * _GEMM_PANEL
@@ -217,6 +263,32 @@ def _gemm_pieces(support: np.ndarray, n: int, width: int) -> list[tuple[int, int
     return pieces
 
 
+def _support_product(
+    v: np.ndarray, support: np.ndarray, values: np.ndarray, out: np.ndarray, buffer: np.ndarray
+) -> None:
+    """out = v @ b, bit for bit, for b zero off the rows ``support`` and ``values`` on them.
+
+    The product runs in the ``_gemm_pieces`` around the support, each cut
+    into the ``_row_chunks`` of the C-ordered (n, width) ``out``: the first
+    piece is written into ``out`` and each later one is added through
+    ``buffer``, which holds one chunk, so no call allocates a product and
+    OpenBLAS packs one chunk of rows at a time.
+    """
+    n, width = out.shape
+    chunks = _row_chunks(n, width)
+    for i, (lo, hi) in enumerate(_gemm_pieces(support, n, width)):
+        first, last = np.searchsorted(support, (lo, hi))
+        b = np.zeros((hi - lo, width))
+        b[support[first:last] - lo] = values[first:last]
+        for top, bottom in chunks:
+            if i:
+                piece = buffer[: (bottom - top) * width].reshape(bottom - top, width)
+                np.matmul(v[top:bottom, lo:hi], b, out=piece)
+                out[top:bottom] += piece
+            else:
+                np.matmul(v[top:bottom, lo:hi], b, out=out[top:bottom])
+
+
 def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     """Amplitudes from one eigendecomposition, exact in ell, 64 samples per block.
 
@@ -225,57 +297,50 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     exp(-i w_j ell) u_j are computed on the support rows only.  Re and Im of
     128 samples sit side by side in one real (K, 256) input, so one GEMM
     streams the eigenvector matrix where four (N+1, 64) products did.  That
-    GEMM runs in the pieces ``_gemm_pieces`` cuts around the support, one
-    per BLAS K-panel that holds support rows: the first piece is written to
-    one C-ordered block and each later one is added through one buffer, so
-    no block allocates a product.  The rows left out are exact zeros, so the
-    sum equals the full product bit for bit on OpenBLAS's SkylakeX kernel,
-    and on any other BLAS it is still exact up to summation order.  The
-    result is handed out as 64-sample views of that block, the shapes the
-    observable sums were recorded with; the next block overwrites them.
+    GEMM is ``_support_product``: pieces cut around the support, one per
+    BLAS K-panel that holds support rows, in calls of at most ``_GEMM_ROWS``
+    output rows, written into one C-ordered block.  The rows left out are
+    exact zeros, so the sum equals the full product bit for bit on
+    OpenBLAS's SkylakeX kernel, and on any other BLAS it is still exact up to
+    summation order.  The result is handed out as 64-sample views of that
+    block, the shapes the observable sums were recorded with; the next block
+    overwrites them.
 
     ``eigh_tridiagonal`` writes the eigenvectors into one anonymous mapping
-    whose tail holds the block, the buffer and the observable scratch (704
-    columns from 128 samples on).  Once the support is known, the
-    eigenvector columns left of the first GEMM piece and right of the last,
-    for both block widths, go back to the OS before the tail is touched, so
-    the tail lifts the peak above the solve's only where fewer are unread.
-    The mapping is unmapped once the caller drops the last block.
+    whose tail holds the block, one row chunk of buffer and the observable
+    scratch (448 columns and a chunk from 128 samples on).  Once the support
+    is known, the eigenvector columns left of the first GEMM piece and right
+    of the last, for both block widths, go back to the OS before the tail is
+    touched, so the tail lifts the peak above the solve's only where fewer
+    are unread.  The mapping is unmapped once the caller drops the last block.
 
     The sizes keep every output bit: a GEMM 512 columns wide, observable
     sums over 128 samples, or a piece that moves a panel edge all change
-    the roundoff of the outputs; trimming zero rows inside a panel does not.
+    the roundoff of the outputs; trimming zero rows inside a panel, or
+    cutting the output rows, does not.
     """
     import mmap
 
-    n, width = d.size, min(128, steps.size)
-    block = n * 2 * width
-    spare = 2 * block + 3 * n * min(64, steps.size)
+    n, widths = d.size, {2 * min(128, steps.size), 2 * (steps.size % 128 or 128)}
+    block = n * max(widths)
+    chunk = max(hi - lo for width in widths for lo, hi in _row_chunks(n, width)) * max(widths)
+    spare = block + chunk + 3 * n * min(64, steps.size)
     w, v, mapping = eigh_tridiagonal(d, a, spare)
     support = np.flatnonzero(v[0])
     w, u = w[support], v[0, support]
-    pieces = [p for k in {width, steps.size % 128 or 128} for p in _gemm_pieces(support, n, 2 * k)]
+    pieces = [p for width in widths for p in _gemm_pieces(support, n, width)]
     left = 8 * n * min(p[0] for p in pieces) // mmap.PAGESIZE * mmap.PAGESIZE
     right = -(-8 * n * max(p[1] for p in pieces) // mmap.PAGESIZE) * mmap.PAGESIZE
     mapping.madvise(mmap.MADV_DONTNEED, 0, left)
     mapping.madvise(mmap.MADV_DONTNEED, right)  # up to the end: the tail is not touched yet
     work = np.frombuffer(mapping, offset=len(mapping) - 8 * spare)
-    out, buffer, scratch = work[:block], work[block : 2 * block], work[2 * block :]
+    out, buffer, scratch = work[:block], work[block : block + chunk], work[block + chunk :]
     for start in range(0, steps.size, 128):
         t = steps[start : start + 128]
         k = t.size
         phase = np.exp(-1j * np.outer(w, t)) * u[:, None]
         c = out[: n * 2 * k].reshape(n, 2 * k)
-        piece = buffer[: n * 2 * k].reshape(n, 2 * k)
-        for i, (lo, hi) in enumerate(_gemm_pieces(support, n, 2 * k)):
-            first, last = np.searchsorted(support, (lo, hi))
-            rows = support[first:last] - lo
-            b = np.zeros((hi - lo, 2 * k))
-            b[rows, :k] = phase.real[first:last]
-            b[rows, k:] = phase.imag[first:last]
-            np.matmul(v[:, lo:hi], b, out=piece if i else c)
-            if i:
-                c += piece
+        _support_product(v, support, np.hstack((phase.real, phase.imag)), c, buffer)
         for lo in range(0, k, 64):
             hi = min(lo + 64, k)
             yield slice(start + lo, start + hi), c[:, lo:hi], c[:, k + lo : k + hi], scratch

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfel import cli
+from qfel import cli, highgain
 from qfel import validate as validation
 from qfel.core import FelParams, first_maximum
 from qfel.highgain import lmax_exact, lmax_ratio
@@ -561,6 +561,23 @@ class TestExitCodes:
         assert cli.main(["fig4", "--samples", "100000000000", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "error: Unable to allocate an axis of 100000000000 samples\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["fig3", "--panel", "top", "--electrons", "50", "--n0", "10", "--samples", "11"], ["validate"]]
+    )
+    def test_a_missing_openblas_is_a_one_line_error(self, argv, tmp_path, capsys, monkeypatch):
+        # The eigh route calls dstemr from the OpenBLAS that NumPy's wheel
+        # bundles; here numpy.libs holds none.  validate runs for a minute
+        # before its first collective ladder, so one eigh call stands in for it.
+        monkeypatch.setattr(highgain, "_OPENBLAS", None)
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        monkeypatch.setattr(cli, "run_validate", lambda: highgain.eigh_tridiagonal(np.zeros(2), np.ones(1)))
+        out = tmp_path / "x.csv"
+        assert cli.main(argv + (["--out", str(out)] if argv[0] != "validate" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "the eigh route calls dstemr from NumPy's bundled OpenBLAS" in err
         assert not out.exists()
 
     def test_unwritable_output_path(self, tmp_path, capsys):

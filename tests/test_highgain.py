@@ -170,24 +170,17 @@ class TestEigensolver:
 
 
 def _openblas_core():
-    """Core name of the OpenBLAS bundled in ``numpy.libs`` (e.g. "SkylakeX"), or None."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                       "openblas_get_corename64_", "openblas_get_corename"):
-            if hasattr(handle, symbol):
-                corename = getattr(handle, symbol)
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                return corename().decode()
-    return None
+    """Core name of the OpenBLAS that the eigh route calls (e.g. "SkylakeX")."""
+    corename = ctypes.CFUNCTYPE(ctypes.c_char_p)(("scipy_openblas_get_corename64_", highgain._openblas()))
+    return corename().decode()
 
 
 class TestPanelRange:
     # OpenBLAS's SkylakeX GEMM sums 384-row K-panels; at n = 2001 whole
     # panels end at split = 1536 and the 465-row tail is halved.
     # ``_gemm_pieces`` cuts the GEMM into one piece per panel that holds
-    # support rows.
+    # support rows, and ``_row_chunks`` cuts each piece's output rows into
+    # calls of at most 1024; at n = 2001 they are 1008 and 993 rows.
     PANEL = highgain._GEMM_PANEL
 
     @staticmethod
@@ -195,7 +188,7 @@ class TestPanelRange:
         return highgain._GEMM_PANEL * max(0, (n - highgain._GEMM_PANEL) // highgain._GEMM_PANEL)
 
     def _assert_covers(self, pieces, support, n, width):
-        """Every support row in a piece; pieces ordered, apart, off the small kernel.
+        """Every support row in a piece; pieces ordered, apart, off the small kernel in every row chunk.
 
         Each piece lies inside one panel below the split, or is the only
         piece and runs from a panel edge to n, keeping the tail whole.
@@ -208,8 +201,23 @@ class TestPanelRange:
             covered[lo:hi] = True
         assert covered[support].all()
         assert [lo for lo, _ in pieces] == sorted(lo for lo, _ in pieces)
-        if n * width * n > highgain._GEMM_SMALL:
-            assert all(n * width * (hi - lo) > highgain._GEMM_SMALL for lo, hi in pieces)
+        rows = min(bottom - top for top, bottom in highgain._row_chunks(n, width))
+        if rows * width * n > highgain._GEMM_SMALL:
+            assert all(rows * width * (hi - lo) > highgain._GEMM_SMALL for lo, hi in pieces)
+
+    @pytest.mark.parametrize("n", [2, 1024, 1025, 2001, 2048, 3001, 10001, 11585])
+    def test_rows_go_in_the_fewest_near_equal_chunks(self, n):
+        # 1025 rows go in 528 + 497, not 1024 + 1: a one-row call would reach
+        # the small-matrix kernel.
+        chunks = highgain._row_chunks(n, 256)
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
+        assert all(lo % 16 == 0 and hi - lo <= highgain._GEMM_ROWS for lo, hi in chunks)
+        assert len(chunks) == -(-n // highgain._GEMM_ROWS)
+        assert min(hi - lo for lo, hi in chunks) >= min(n, highgain._GEMM_ROWS // 2 - 16)
+        # Above 192 columns, a width off a multiple of 8 keeps one call.
+        assert highgain._row_chunks(n, 250) == [(0, n)]
+        assert highgain._row_chunks(n, 248) == chunks == highgain._row_chunks(n, 190)
 
     def test_short_ladder_keeps_the_whole_range(self):
         for n in (100, 2 * self.PANEL - 1):
@@ -242,27 +250,29 @@ class TestPanelRange:
         assert highgain._gemm_pieces(support, 2001, 248) == [(995, 1152), (1152, 1296)]
 
     def test_a_small_kernel_product_keeps_the_whole_range(self):
-        # 1300 x 2 x 384 multiply-adds would go to the small-matrix kernel.
+        # 1300 rows go in calls of 656 and 644 rows, and 644 x 4 x 384
+        # multiply-adds would go to the small-matrix kernel.
         support = np.arange(400, 700)
-        assert highgain._gemm_pieces(support, 1300, 2) == [(0, 1300)]
-        assert highgain._gemm_pieces(support, 1300, 4) == [(400, 700)]
+        assert highgain._gemm_pieces(support, 1300, 4) == [(0, 1300)]
+        assert highgain._gemm_pieces(support, 1300, 8) == [(400, 700)]
 
     def test_a_small_piece_is_widened_inside_its_panel(self):
-        # One support row per panel: 2001 x 256 x 1 is small-kernel sized.
+        # One support row per panel: 993 x 256 x 3, the shorter call at
+        # n = 2001, is small-kernel sized.
         pieces = highgain._gemm_pieces(np.array([500, 1000]), 2001, 256)
-        assert pieces == [(500, 502), (1000, 1002)]
+        assert pieces == [(500, 504), (1000, 1004)]
         pieces = highgain._gemm_pieces(np.array([767]), 2001, 88)
-        assert pieces == [(762, 768)]
+        assert pieces == [(756, 768)]
         self._assert_covers(pieces, np.array([767]), 2001, 88)
 
     @pytest.mark.skipif(_openblas_core() != "SkylakeX", reason="the panel model is OpenBLAS's SkylakeX DGEMM")
     def test_piece_sum_equals_the_full_product_bit_for_bit(self):
-        # The pieces summed in order, the first written and each later one
-        # added, against v @ b with b zero off the support.  Supports are
-        # contiguous or gapped windows; at n = 1001 one reaches the tail as
-        # N = 1000 first_order's 219 rows over 0-1000 do.
+        # The route's row-chunked product of the pieces against v @ b with b
+        # zero off the support.  Supports are contiguous or gapped windows;
+        # at n = 1001 one reaches the tail as N = 1000 first_order's 219 rows
+        # over 0-1000 do, and n = 1025 ends in a 497-row call.
         rng = np.random.default_rng(13)
-        for n in (700, 1001, 1645, 2212, 3001):
+        for n in (700, 1001, 1025, 1645, 2212, 3001):
             v = np.asfortranarray(rng.standard_normal((n, n)))
             for trial in range(6):
                 width = int(rng.integers(2, 257))
@@ -274,14 +284,12 @@ class TestPanelRange:
                 b[support] = rng.standard_normal((support.size, width))
                 pieces = highgain._gemm_pieces(support, n, width)
                 self._assert_covers(pieces, support, n, width)
-                first, last = pieces[0]
-                c = v[:, first:last] @ b[first:last]
-                for first, last in pieces[1:]:
-                    c += v[:, first:last] @ b[first:last]
+                c, buffer = np.empty((n, width)), np.empty(n * width)
+                highgain._support_product(v, support, b[support], c, buffer)
                 assert np.array_equal(c, v @ b), (n, width, pieces)
 
 
-_RSS_PROBE = """
+_RESIDENT = """
 import os
 from qfel import FelParams, HighGainModel, propagate_dicke
 
@@ -289,16 +297,35 @@ def resident_mib():
     with open("/proc/self/statm") as statm:
         return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
 
-def run(N):
-    params = FelParams(alpha=0.25, nu=2, n0=N / 10, N=N, context="high")
-    propagate_dicke(HighGainModel(params=params, variant="dicke_only"), 45.0, 2001)
+def run(N, nu=2, variant="dicke_only", span=45.0, samples=2001):
+    params = FelParams(alpha=0.25, nu=nu, n0=N / 10, N=N, context="high")
+    propagate_dicke(HighGainModel(params=params, variant=variant), span, samples)
+"""
 
+_RELEASE_PROBE = """
 run(1000)
 before = resident_mib()
 run(2000)
 run(2000)
 print(resident_mib() - before)
 """
+
+_PACK_PROBE = """
+run(50, 1, "third_order", 7.0, 256)
+before = resident_mib()
+run(4000, 1, "third_order", 7.0, 256)
+print(resident_mib() - before)
+"""
+
+
+def _resident_growth(probe):
+    """MiB of resident size that ``probe`` prints it gained, run in a fresh interpreter after ``_RESIDENT``."""
+    src = str(Path(highgain.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RESIDENT + probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    return float(proc.stdout)
 
 
 class TestWorkTail:
@@ -309,12 +336,17 @@ class TestWorkTail:
     def test_eigenvector_pages_go_back_to_the_os_when_the_call_returns(self):
         # Two N = 2000 calls, 32 MB of eigenvectors each, after a warm-up.
         # Through the C heap the freed matrix stayed resident (+32.9 MiB).
-        src = str(Path(highgain.__file__).resolve().parent.parent)
-        proc = subprocess.run(
-            [sys.executable, "-c", _RSS_PROBE], env=dict(os.environ, PYTHONPATH=src),
-            capture_output=True, text=True, timeout=300, check=True,
-        )
-        assert float(proc.stdout) <= 8.0, proc.stdout
+        assert _resident_growth(_RELEASE_PROBE) <= 8.0
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="resident size is read from /proc/self/statm")
+    def test_gemm_packing_stays_resident_for_one_row_chunk_only(self):
+        # OpenBLAS packs each GEMM call's output rows, a panel deep, into a
+        # buffer it keeps.  N = 4000 third_order's support spans whole panels:
+        # one product over all 4001 rows grew resident size by 13.0 MiB, about
+        # 384 x 4001 doubles; in row chunks the packing is 384 x 1024 doubles,
+        # 3 MiB.  The 2 MiB of slack is for the heap arrays the call frees
+        # (phases, piece inputs), which the C allocator may keep (1.3 MiB seen).
+        assert _resident_growth(_PACK_PROBE) <= (384 * 1024 * 8 + 2 * 2**20) / 2**20
 
     def test_released_columns_give_their_memory_back(self):
         # MADV_DONTNEED frees the pages of a private mapping, which then read
