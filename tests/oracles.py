@@ -3,8 +3,10 @@
 Everything here deliberately avoids the package's own solution paths:
 dense matrix exponentials instead of banded eigendecompositions, generic
 ODE integration of the interaction-picture H(tau) instead of the
-static-frame equivalence, and the detuned mean-field form of the first
-resonance straight from ``scipy.special`` instead of ``qfel.specfun``.
+static-frame equivalence, and K, cn and the detuned mean-field form of the
+first resonance straight from ``scipy.special`` (Cephes: K from polynomials in
+1 - m, cn from its own Landen code and, near m = 1, a series) instead of
+``qfel.specfun``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,22 @@ def expm_populations(op: BandedHermitianOperator, psi0: np.ndarray, taus) -> np.
     for i, tau in enumerate(taus):
         out[i] = np.abs(expm(-1j * h * float(tau)) @ psi0) ** 2
     return out
+
+
+def scipy_elliptic_K(k: float) -> float:
+    """K of modulus k from SciPy's ``ellipk``, which takes the parameter m = k*k."""
+    return float(ellipk(k * k))
+
+
+def scipy_jacobi_cn(u, k: float) -> np.ndarray:
+    """cn(u, k) from SciPy's ``ellipj`` at u - 2Kq in [-K, K], times (-1)^q.
+
+    For m = k*k >= 1 - 1e-10 ``ellipj`` sums a series in 1 - m (A&S 16.15) that is not
+    periodic and overflows at large u, so it is only read on the central half-period.
+    """
+    u, half_period = np.asarray(u, dtype=float), 2.0 * ellipk(k * k)
+    q = np.round(u / half_period)
+    return ellipj(u - half_period * q, k * k)[1] * (1.0 - 2.0 * (q % 2.0))
 
 
 def ode_populations(

@@ -66,13 +66,12 @@ def _probe(*routes):
 @pytest.fixture(scope="module")
 def stages():
     # The mean-field route runs last, since scipy.integrate loads scipy.linalg
-    # too.  The closed form gets its own interpreter: after the Chebyshev
-    # route it would find scipy.special loaded already, and before it, it
-    # would hide that the Chebyshev route loads it.  So does the eigh route,
-    # so that the "scipy" flag shows it loads no SciPy module at all.
+    # too.  The closed form loads no SciPy module, so it runs before the
+    # Chebyshev route, which then shows that it alone loads scipy.special.
+    # The eigh route gets its own interpreter, so that the "scipy" flag shows
+    # it loads no SciPy module at all.
     return {
-        **_probe("low_gain", "chebyshev", "mean_field"),
-        "closed_form": _probe("closed_form")["closed_form"],
+        **_probe("low_gain", "closed_form", "chebyshev", "mean_field"),
         "eigh": _probe("eigh")["eigh"],
     }
 
@@ -99,8 +98,10 @@ def test_chebyshev_route_loads_scipy_special_only(stages):
     assert _loaded(stages["chebyshev"]) == {"scipy.special"}
 
 
-def test_closed_form_loads_scipy_special_only(stages):
-    assert _loaded(stages["closed_form"]) == {"scipy.special"}
+def test_closed_form_loads_no_deferred_and_no_scipy_module(stages):
+    # K and cn come from qfel.specfun's arithmetic-geometric mean, in NumPy alone.
+    assert _loaded(stages["closed_form"]) == set()
+    assert not stages["closed_form"]["scipy"]
 
 
 def test_eigh_route_loads_mmap_and_no_scipy_module(stages):

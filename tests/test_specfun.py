@@ -1,4 +1,4 @@
-"""Elliptic integral and Jacobi cn against mpmath reference values and identity oracles."""
+"""Elliptic integral and Jacobi cn against mpmath reference values, SciPy and identity oracles."""
 
 from unittest import mock
 
@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfel import highgain
+from oracles import scipy_elliptic_K, scipy_jacobi_cn
+from qfel import highgain, specfun
 from qfel.core import FelParams
 from qfel.specfun import elliptic_K, jacobi_cn
 
@@ -15,8 +16,9 @@ MODULI = [0.0, 0.05, 0.3, 0.5, 1 / np.sqrt(2.0), 0.9, 0.95346, 0.999, 0.999999]
 
 # Computed once with mpmath 1.3.0 at mp.dps = 50 (ellipk, ellipfun("cn")) for
 # the seed modulus k = (1 + n0/N)**-1/2 in double precision, at m = k*k rounded
-# to double.  That m is the parameter SciPy receives; at 1 - m ~ 1e-14 half an
-# ulp of m moves K by ~3e-3, so the reference must start from the same m.
+# to double.  That m is where the AGM ladder starts, b_0 = sqrt(1 - m); at
+# 1 - m ~ 1e-14 half an ulp of m moves K by ~3e-3, so the reference must start
+# from the same m.
 # n0/N -> (K(k), ((u, cn(u, k)), ...)) at u = 0.3K, K, 2K, 3K and 39.5K.  The
 # three smallest seeds put m at or above 1 - 1e-10, where SciPy's ellipj
 # switches to its non-periodic series.
@@ -133,6 +135,43 @@ class TestJacobiCn:
             cn = jacobi_cn(u, k)
             assert np.max(np.abs(cn)) <= 1.0 + 1e-12
             assert np.max(np.abs(jacobi_cn(-u, k) - cn)) < 1e-12
+
+
+# From the circle to the last double below 1, densest where K grows as ln(4/sqrt(1 - k*k)).
+GRID = np.concatenate([np.linspace(0.0, 0.99, 34), 1.0 - np.logspace(-2.5, -15.5, 27), [np.nextafter(1.0, 0.0)]])
+
+
+class TestAgainstScipy:
+    """SciPy's Cephes K and cn on a grid of moduli that reaches the last double below 1."""
+
+    def test_elliptic_K(self):
+        for k in GRID:
+            assert elliptic_K(k) == pytest.approx(scipy_elliptic_K(k), rel=1e-14, abs=0.0), k
+
+    def test_jacobi_cn_over_twenty_periods(self):
+        for k in GRID:
+            u = np.linspace(-40.0, 40.0, 2001) * elliptic_K(k)
+            assert np.max(np.abs(jacobi_cn(u, k) - scipy_jacobi_cn(u, k))) <= 1e-12, k
+
+    def test_jacobi_cn_on_the_central_half_period(self):
+        # One half-period, so no K mismatch times q: 1.2e-14 at worst, SciPy's own error near
+        # 1 - k = 1e-10.  Taking the Landen step's asin plainly, not as an atan2, reads 1.9e-13.
+        for k in GRID:
+            u = np.linspace(-1.0, 1.0, 2001) * elliptic_K(k)
+            assert np.max(np.abs(jacobi_cn(u, k) - scipy_jacobi_cn(u, k))) <= 5e-14, k
+
+
+class TestLadder:
+    def test_steps_at_reference_moduli(self):
+        # k = 0 needs no step, which makes K(0) = pi/2 exactly.
+        steps = [len(specfun._ladder(k)) - 1 for k in (0.0, 0.9535, np.nextafter(1.0, 0.0))]
+        assert steps == [0, 6, 9]
+
+    def test_at_most_ten_steps_on_the_whole_domain(self):
+        # A stopping rule that c_n never meets must fail here: the ladder's step cap
+        # raises ArithmeticError where an uncapped loop would hang.
+        for k in np.concatenate([GRID, np.linspace(0.0, 1.0, 2001, endpoint=False)]):
+            assert len(specfun._ladder(k)) - 1 <= 10, k
 
 
 def _seed_modulus(n0, N, closed_form=lambda p: highgain.lmax_exact(p, 1)):
