@@ -11,11 +11,11 @@ Subcommands
 
 Outputs are deterministic: the same scenario produces byte-identical CSV
 (one leading ``# key=value`` comment line recording the resolved parameters,
-then a header line, then ``%.12g``-formatted rows), on OpenBLAS's SkylakeX
-kernel at any core count; another kernel (Haswell), or its thread count,
-may move roundoff digits.  Scenario files hold the same keys as the flags,
-one ``key=value`` per line; flags win over file values.  Exit codes: 0
-success, 1 failed validation or runtime error, 2 usage/configuration error.
+then a header line, then ``%.12g``-formatted rows); README's "Command line"
+says on which BLAS kernels that holds across core counts.  Scenario files
+hold the same keys as the flags, one ``key=value`` per line; flags win over
+file values.  Exit codes: 0 success, 1 failed validation or runtime error,
+2 usage/configuration error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import sys
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,9 +65,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out: Path | str, meta: dict, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    lines = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in meta.items()), ",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+def _write_csv(out: Path | str, meta: dict, table: dict[str, Sequence]) -> Path:
+    """``meta`` as one comment line, ``table``'s names as the header, then its columns row by row."""
+    lines = ["# " + " ".join(f"{k}={_fmt(v)}" for k, v in meta.items()), ",".join(table)]
+    lines += [",".join(_fmt(v) for v in row) for row in zip(*table.values())]
     out = Path(out)
     out.write_text("\n".join(lines) + "\n", encoding="ascii")
     return out
@@ -94,19 +95,16 @@ def run_fig2(
     omega_t = sample_axis(end, samples)
     tau_end = end / alpha
 
-    columns: list[np.ndarray] = [omega_t]
-    header = ["Omega_t"]
+    table = {"Omega_t": omega_t}
     meta = {"subcommand": "fig2", "alpha": alpha, "end": end, "samples": samples}
     for nu in (1, 2, 3):
-        columns.append(np.asarray(analytic_dn(nu, alpha, omega_t)))
-        header.append(f"dn_analytic_nu{nu}")
+        table[f"dn_analytic_nu{nu}"] = analytic_dn(nu, alpha, omega_t)
     for nu, params in zip((1, 2, 3), all_params):
         model = LowGainModel(params=params, variant="full_hamiltonian")
         trace = propagate(model, LadderState.initial(params), tau_end, samples)
-        columns.append(trace.column("dn_per_N"))
-        header.append(f"dn_numeric_nu{nu}")
+        table[f"dn_numeric_nu{nu}"] = trace.column("dn_per_N")
         meta[f"levels_nu{nu}"] = params.ladder_halfwidth
-    return _write_csv(out, meta, header, zip(*columns))
+    return _write_csv(out, meta, table)
 
 
 def run_fig3(
@@ -129,18 +127,17 @@ def run_fig3(
         alpha = 0.5 if alpha is None else alpha
         end = 7.0 if end is None else end
         samples = 501 if samples is None else samples
-        out = "fig3_top.csv" if out is None else out
-        header = ["L_over_Lg", "n_analytic_order3", "n_analytic_order1", "n_numeric_third_order"]
-        closed_forms = (partial(analytic_n_first, order=3), partial(analytic_n_first, order=1))
+        closed_forms = {
+            "n_analytic_order3": partial(analytic_n_first, order=3),
+            "n_analytic_order1": partial(analytic_n_first, order=1),
+        }
         variants = ("third_order",)
     elif panel == "bottom":
         resonance = 2
         alpha = 0.25 if alpha is None else alpha
         end = 45.0 if end is None else end
         samples = 601 if samples is None else samples
-        out = "fig3_bottom.csv" if out is None else out
-        header = ["L_over_Lg", "n_analytic", "n_numeric_dicke_only", "n_numeric_full_second_order"]
-        closed_forms = (analytic_n_second,)
+        closed_forms = {"n_analytic": analytic_n_second}
         variants = ("dicke_only", "full_second_order")
     elif panel is None:
         raise ValueError("fig3 needs --panel top or --panel bottom")
@@ -158,11 +155,11 @@ def run_fig3(
         "samples": samples,
     }
     # Closed forms first: they reject a seedless field before the N-electron solve.
-    columns = [ell, *(closed_form(ell, params) for closed_form in closed_forms)]
+    table = {"L_over_Lg": ell, **{name: closed_form(ell, params) for name, closed_form in closed_forms.items()}}
     for variant in variants:
         model = HighGainModel(params=params, variant=variant)
-        columns.append(propagate_dicke(model, end, samples).column("n"))
-    return _write_csv(out, meta, header, zip(*columns))
+        table[f"n_numeric_{variant}"] = propagate_dicke(model, end, samples).column("n")
+    return _write_csv(f"fig3_{panel}.csv" if out is None else out, meta, table)
 
 
 def run_fig4(
@@ -193,9 +190,8 @@ def run_fig4(
         "end": end,
         "samples": samples,
     }
-    header = ["L_over_Lg", "n_first_resonance", "n_second_resonance"]
-    columns = [ell, analytic_n_first(ell, p1, order=3), analytic_n_second(ell, p2)]
-    return _write_csv(out, meta, header, zip(*columns))
+    first, second = analytic_n_first(ell, p1, order=3), analytic_n_second(ell, p2)
+    return _write_csv(out, meta, {"L_over_Lg": ell, "n_first_resonance": first, "n_second_resonance": second})
 
 
 # ---------------------------------------------------------------------------
@@ -229,34 +225,35 @@ _SWEEP_HEADER = [
 ]
 
 
-def _sweep_row(alpha: float, n0: float, electrons: int, nu: int) -> list:
-    """One sweep row before its point runs: the grid values, NaN results, an empty error cell."""
-    return [alpha, n0, electrons, nu, math.nan, math.nan, math.nan, math.nan, math.nan, ""]
+def _sweep_row(alpha: float, n0: float, electrons: int, nu: int) -> dict[str, object]:
+    """One row keyed by ``_SWEEP_HEADER`` before its point runs: the grid values, NaN results, no error."""
+    row = dict.fromkeys(_SWEEP_HEADER, math.nan)
+    return row | {"alpha": alpha, "n0": n0, "electrons": electrons, "resonance": nu, "error": ""}
 
 
-def _sweep_point_low(alpha: float, nu: int, variant: str, end: float | None, samples: int) -> list:
+def _sweep_point_low(alpha: float, nu: int, variant: str, end: float | None, samples: int) -> dict[str, object]:
     row = _sweep_row(alpha, 0.0, 1, nu)
     try:
         params = FelParams(alpha=alpha, nu=nu, context="low")
         model = LowGainModel(params=params, variant=variant)
         tau_end = 1.05 * np.pi / gain_frequency(nu, alpha) if end is None else end
         trace = propagate(model, LadderState.initial(params), tau_end, samples)
-        row[4] = fit_rabi_frequency(trace, model)
+        row["fitted_frequency"] = fit_rabi_frequency(trace, model)
         peak = first_maximum(trace.x, trace.column("dn_per_N"))
-        row[5] = peak.amplitude
-        row[6] = peak.position
+        row["max_amplitude"] = peak.amplitude
+        row["max_position"] = peak.position
     except Exception as err:  # noqa: BLE001 - per-point failures land in the error column
-        row[9] = _sanitize(err)
+        row["error"] = _sanitize(err)
     return row
 
 
-def _sweep_point_high(alpha: float, n0: float, nu: int, electrons: int) -> list:
+def _sweep_point_high(alpha: float, n0: float, nu: int, electrons: int) -> dict[str, object]:
     row = _sweep_row(alpha, n0, electrons, nu)
     try:
         params = FelParams(alpha=alpha, nu=nu, n0=n0, N=electrons, context="high")
         lmax_exact(params, 2)  # fails only at the closed forms' seed boundary, which ends the row
     except Exception as err:  # noqa: BLE001
-        row[9] = _sanitize(err)
+        row["error"] = _sanitize(err)
         return row
     errors: list[str] = []
     # lmax_exact reads alpha, n0 and N only, so one FelParams serves every
@@ -269,13 +266,13 @@ def _sweep_point_high(alpha: float, n0: float, nu: int, electrons: int) -> list:
             errors.append(_sanitize(err))
             return math.nan
 
-    row[6] = attempt(lmax_exact, params, nu)
+    row["max_position"] = attempt(lmax_exact, params, nu)
     if nu in (1, 2):
         # Closed-form ceiling of the first maximum, for the resonances lmax_exact accepts.
-        row[5] = n0 + nu * electrons
-    row[7] = attempt(lmax_ratio, params)
-    row[8] = attempt(lmax_exact, params, 2) / attempt(lmax_exact, params, 1)
-    row[9] = "; ".join(errors)
+        row["max_amplitude"] = n0 + nu * electrons
+    row["length_ratio_shorthand"] = attempt(lmax_ratio, params)
+    row["length_ratio_exact"] = attempt(lmax_exact, params, 2) / attempt(lmax_exact, params, 1)
+    row["error"] = "; ".join(errors)
     return row
 
 
@@ -335,7 +332,7 @@ def run_sweep(
         "electrons": electrons,
         **regime_meta,
     }
-    return _write_csv(out, meta, _SWEEP_HEADER, rows)
+    return _write_csv(out, meta, {name: [row[name] for row in rows] for name in _SWEEP_HEADER})
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ whose coefficient formulas per resonance and model variant live in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, Iterator
 
 import numpy as np
@@ -142,9 +143,7 @@ def jv(order, z):
     return bessel_j(order, z)
 
 
-_OPENBLAS = None
-
-
+@cache
 def _openblas():
     """The OpenBLAS that NumPy's wheel bundles (``numpy.libs/libscipy_openblas64_*``), opened once.
 
@@ -152,18 +151,15 @@ def _openblas():
     It is the one place the package looks the library up; without it the
     eigh route cannot run, which is an ``OSError`` with a one-line message.
     """
-    global _OPENBLAS
-    if _OPENBLAS is None:
-        import ctypes
-        import glob
-        import os
+    import ctypes
+    import glob
+    import os
 
-        libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-        found = sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*")))
-        if not found:
-            raise OSError(f"the eigh route calls dstemr from NumPy's bundled OpenBLAS, and {libs} holds none")
-        _OPENBLAS = ctypes.CDLL(found[0])
-    return _OPENBLAS
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    found = sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*")))
+    if not found:
+        raise OSError(f"the eigh route calls dstemr from NumPy's bundled OpenBLAS, and {libs} holds none")
+    return ctypes.CDLL(found[0])
 
 
 def eigh_tridiagonal(d, e, spare=0):

@@ -4,10 +4,13 @@
 ``perfbench/reference/``.  The tests read its inputs, references and bar
 through ``bench_module``, and hold a table to a reference through
 ``assert_matches_reference``, so a refactor proves it kept every recorded
-output by passing the suite.
+output by passing the suite.  ``run_python`` is the one way a test starts
+a fresh interpreter on this checkout's ``src``.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from functools import cache
 from pathlib import Path
@@ -15,6 +18,15 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(argv, timeout, **env):
+    """``python *argv`` in a fresh interpreter, ``src`` put first on ``PYTHONPATH`` and ``env`` added."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *argv], env={**os.environ, **env, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=timeout,
+    )
 
 
 @cache

@@ -19,6 +19,7 @@ from qfel import validate as validation
 from qfel.core import FelParams, first_maximum
 from qfel.highgain import lmax_exact, lmax_ratio
 from qfel.lowgain import gain_frequency
+from recorded import ROOT, assert_matches_reference
 
 
 def _read_csv(path):
@@ -88,13 +89,27 @@ class TestFig2:
 
 
 class TestFig3:
-    def test_top_panel_structure(self, tmp_path):
-        out = tmp_path / "top.csv"
-        code = cli.main(
-            ["fig3", "--panel", "top", "--electrons", "400", "--n0", "40", "--samples", "121", "--out", str(out)]
-        )
-        assert code == 0
+    @staticmethod
+    def _run_and_match_recorded(panel, out):
+        """Run a 400-electron panel; its comment line and header match ``tests/fig3_output/<panel>.csv``
+        as text, and each column stays within the reference bar of that column's largest magnitude.
+
+        A change that moves a panel on purpose records it again, from the repository root
+        (``bottom`` likewise):
+
+            PYTHONPATH=src python3 -m qfel.cli fig3 --panel top --electrons 400 --n0 40 --samples 121 \
+                --out tests/fig3_output/top.csv
+        """
+        argv = ["fig3", "--panel", panel, "--electrons", "400", "--n0", "40", "--samples", "121"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
         meta, header, cols = _read_csv(out)
+        want_meta, want_header, want = _read_csv(ROOT / "tests" / "fig3_output" / f"{panel}.csv")
+        assert (meta, header) == (want_meta, want_header)
+        assert_matches_reference(f"fig3_{panel}", cols, want)
+        return meta, header, cols
+
+    def test_top_panel_structure(self, tmp_path):
+        meta, header, cols = self._run_and_match_recorded("top", tmp_path / "top.csv")
         assert header == ["L_over_Lg", "n_analytic_order3", "n_analytic_order1", "n_numeric_third_order"]
         assert "panel=top" in meta
         for name in header[1:]:
@@ -106,12 +121,7 @@ class TestFig3:
         ).position
 
     def test_bottom_panel_structure(self, tmp_path):
-        out = tmp_path / "bottom.csv"
-        code = cli.main(
-            ["fig3", "--panel", "bottom", "--electrons", "400", "--n0", "40", "--samples", "121", "--out", str(out)]
-        )
-        assert code == 0
-        _, header, cols = _read_csv(out)
+        _, header, cols = self._run_and_match_recorded("bottom", tmp_path / "bottom.csv")
         assert header == ["L_over_Lg", "n_analytic", "n_numeric_dicke_only", "n_numeric_full_second_order"]
         for name in header[1:]:
             assert cols[name][0] == 40.0
@@ -570,7 +580,7 @@ class TestExitCodes:
         # The eigh route calls dstemr from the OpenBLAS that NumPy's wheel
         # bundles; here numpy.libs holds none.  validate runs for a minute
         # before its first collective ladder, so one eigh call stands in for it.
-        monkeypatch.setattr(highgain, "_OPENBLAS", None)
+        highgain._openblas.cache_clear()
         monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
         monkeypatch.setattr(cli, "run_validate", lambda: highgain.eigh_tridiagonal(np.zeros(2), np.ones(1)))
         out = tmp_path / "x.csv"

@@ -6,15 +6,12 @@ printed physics result on purpose records it again, from the repository root:
     for d in demos/*.py; do PYTHONPATH=src python3 "$d" > "tests/demo_output/$(basename "$d" .py).txt"; done
 """
 
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from recorded import ROOT, run_python
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 RECORDED = ROOT / "tests" / "demo_output"
 
@@ -29,17 +26,6 @@ NOISE_FLOORS = {
 }
 
 
-def _run_python(argv):
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, *argv],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-
-
 def _held(text):
     """The lines of ``text``, each noise line's value replaced by whether it is under its floor."""
     lines = []
@@ -52,7 +38,7 @@ def _held(text):
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
-    proc = _run_python([str(demo)])
+    proc = run_python([str(demo)], timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert _held(proc.stdout) == _held((RECORDED / f"{demo.stem}.txt").read_text())
 
@@ -66,5 +52,5 @@ def test_readme_python_blocks_run():
     blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.DOTALL | re.MULTILINE)
     assert blocks
     for block in blocks:
-        proc = _run_python(["-c", block])
+        proc = run_python(["-c", block], timeout=120)
         assert proc.returncode == 0, (block, proc.stderr)

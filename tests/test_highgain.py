@@ -3,9 +3,6 @@
 import ctypes
 import inspect
 import mmap
-import os
-import subprocess
-import sys
 import types
 from pathlib import Path
 
@@ -30,6 +27,7 @@ from qfel.highgain import (
     propagate_dicke,
     short_time_n_second,
 )
+from recorded import run_python
 
 
 def _params(nu, alpha=0.25, n0=100.0, N=1000, **kw):
@@ -333,11 +331,8 @@ np.savez(sys.argv[1], **columns)
 
 def _probe(probe, *args, **env):
     """What ``probe`` prints, run with ``args`` in a fresh interpreter after ``_PROBE_HEAD``, ``env`` added."""
-    src = str(Path(highgain.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE_HEAD + probe, *args], env=dict(os.environ, PYTHONPATH=src, **env),
-        capture_output=True, text=True, timeout=300, check=True,
-    )
+    proc = run_python(["-c", _PROBE_HEAD + probe, *args], timeout=300, **env)
+    assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 

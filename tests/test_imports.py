@@ -5,15 +5,11 @@ SciPy's heavy submodules, and ``mmap``, load only when a route needs them.
 
 import inspect
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import qfel
-from recorded import bench_module
+from recorded import bench_module, run_python
 
 DEFERRED = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg", "scipy.linalg.cython_lapack", "mmap")
 
@@ -54,12 +50,8 @@ print(json.dumps(stages))
 
 def _probe(*routes):
     """Deferred-module flags after a fresh ``import qfel`` and after each route, in order."""
-    src = str(Path(qfel.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, *routes], env=env, capture_output=True, text=True, timeout=120, check=True
-    )
+    proc = run_python(["-c", _PROBE, *routes], timeout=120)
+    assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
