@@ -76,8 +76,8 @@ _GEMM_ROWS = 1024
 _GEMM_SMALL = 100**3
 
 #: One block of amplitudes from a route: (samples, Re c, Im c, scratch), c of
-#: shape (N+1, k) and scratch a flat float array of at least 3 (N+1) k elements
-#: that the observable step may overwrite.
+#: shape (N+1, k) and scratch a flat float array of at least 3 (N+1) k elements,
+#: apart from c, that the observable step may overwrite.
 _Blocks = Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -162,7 +162,7 @@ def _openblas():
     return ctypes.CDLL(found[0])
 
 
-def eigh_tridiagonal(d, e, spare=0):
+def eigh_tridiagonal(d, e):
     """Eigenvalues w and eigenvectors v of a real symmetric tridiagonal, from LAPACK ``dstemr``.
 
     It calls ``scipy_dstemr_64_`` (64-bit integers) in NumPy's bundled
@@ -170,10 +170,10 @@ def eigh_tridiagonal(d, e, spare=0):
     ``scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stemr")``, so w and
     v are SciPy's bit for bit while no SciPy module is loaded; d and e are
     copied, since ``dstemr`` overwrites them.  Returns (w, v, mapping): v is
-    the F-ordered head of one private anonymous mapping whose last ``spare``
-    doubles start on a page.  Its pages bypass the heap and go back to the OS
-    once its last view goes.  The name stays a module global so the route's
-    call resolves (and can be counted) here.
+    F-ordered over all 8 n^2 bytes of one private anonymous mapping, whose
+    pages bypass the heap and go back to the OS once its last view goes.
+    The name stays a module global so the route's call resolves (and can be
+    counted) here.
     """
     import ctypes
     import mmap
@@ -184,9 +184,8 @@ def eigh_tridiagonal(d, e, spare=0):
     # 21 arguments, then the lengths of the two one-character ones, as gfortran passes them.
     prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 21, ctypes.c_size_t, ctypes.c_size_t)
     dstemr = prototype(("scipy_dstemr_64_", _openblas()))
-    head = -(-8 * n * n // mmap.PAGESIZE) * mmap.PAGESIZE
-    mapping = mmap.mmap(-1, head + 8 * spare, flags=mmap.MAP_PRIVATE)  # shared pages outlive MADV_DONTNEED
-    v = np.frombuffer(mapping, count=n * n).reshape(n, n, order="F")
+    mapping = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)  # shared pages outlive MADV_DONTNEED
+    v = np.frombuffer(mapping).reshape(n, n, order="F")
     d, e = np.array(d, dtype=float), np.append(np.asarray(e, dtype=float), 0.0)  # e padded to n, as SciPy pads it
     w, isuppz, work, iwork = np.empty(n), np.empty(2 * n, np.int64), np.empty(18 * n), np.empty(10 * n, np.int64)
     size, index, found, tryrac, lwork, liwork, info = (ctypes.c_int64(k) for k in (n, 0, 0, 1, 18 * n, 10 * n, 0))
@@ -280,33 +279,34 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     ``stemr`` returns an exact 0.0 for most u_j, so the phases
     exp(-i w_j ell) u_j are computed on the support rows only.  Re and Im of
     128 samples sit side by side in one real (K, 256) input, so one GEMM
-    streams the eigenvector matrix where four (N+1, 64) products did.  That
-    GEMM is ``_support_product``: pieces cut around the support, one per
-    BLAS K-panel that holds support rows, in calls of at most ``_GEMM_ROWS``
-    output rows, written into one C-ordered block.  The rows left out are
-    exact zeros, so the sum equals the full product bit for bit on
-    OpenBLAS's SkylakeX kernel, and on any other BLAS it is still exact up to
-    summation order.  The result is handed out as 64-sample views of that
-    block, the shapes the observable sums were recorded with; the next block
-    overwrites them.
+    streams the eigenvector matrix.  That GEMM is ``_support_product``:
+    pieces cut around the support, one per BLAS K-panel that holds support
+    rows, in calls of at most ``_GEMM_ROWS`` output rows, written into one
+    C-ordered block.  The rows left out are exact zeros, so the sum equals
+    the full product bit for bit on OpenBLAS's SkylakeX kernel, and on any
+    other BLAS it is still exact up to summation order.  The result is
+    handed out as 64-sample views of that block, the shapes the observable
+    sums were recorded with; the next block overwrites them.
 
     A last block of 97-127 samples, off a multiple of 4, is split into 96
     and the rest: the SkylakeX kernel sums the edge columns of a product
     wider than 192 columns (DGEMM_DEFAULT_P) and off a multiple of 8 in an
     order set by its threads' row split, so no block is that wide.
 
-    ``eigh_tridiagonal`` writes the eigenvectors into one anonymous mapping
-    whose tail holds the block, one row chunk of buffer and the observable
-    scratch (448 columns and a chunk from 128 samples on).  Once the support
-    is known, the eigenvector columns left of the first GEMM piece and right
-    of the last, for every block width, go back to the OS before the tail is
-    touched, so the tail lifts the peak above the solve's only where fewer
-    are unread.  The mapping is unmapped once the caller drops the last block.
+    Once the support is known, the eigenvector columns left of the first
+    GEMM piece and right of the last, for every block width, go back to the
+    OS.  The block, one row chunk of piece buffer and the observable scratch
+    (448 columns and a chunk from 128 samples on) share a second anonymous
+    mapping; both mappings are unmapped once the caller drops the last
+    block.  Adding later pieces through a temporary in place of the buffer
+    raised collective-scan's peak by 0.25 MB, and plain observable
+    expressions in place of the in-place scratch ran it 3 % slower; each
+    also took OpenBLAS's packing probe past its 5 MiB bound (7.4, 8.1 MiB).
 
     The sizes keep every output bit: a GEMM 512 columns wide, observable
-    sums over 128 samples, or a piece that moves a panel edge all change
-    the roundoff of the outputs; trimming zero rows inside a panel, or
-    cutting the output rows, does not.
+    sums over 128 samples (which move validate's N = 10^4 traces), or a
+    piece that moves a panel edge all change the roundoff of the outputs;
+    trimming zero rows inside a panel, or cutting the output rows, does not.
     """
     import mmap
 
@@ -317,16 +317,16 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     widths = {2 * (stop - start) for start, stop in bounds}
     block = n * max(widths)
     chunk = _row_chunks(n)[0][1] * max(widths)  # the first chunk is the longest
-    spare = block + chunk + 3 * n * min(64, steps.size)
-    w, v, mapping = eigh_tridiagonal(d, a, spare)
+    w, v, mapping = eigh_tridiagonal(d, a)
     support = np.flatnonzero(v[0])
     w, u = w[support], v[0, support]
     pieces = [p for width in widths for p in _gemm_pieces(support, n, width)]
     left = 8 * n * min(p[0] for p in pieces) // mmap.PAGESIZE * mmap.PAGESIZE
     right = -(-8 * n * max(p[1] for p in pieces) // mmap.PAGESIZE) * mmap.PAGESIZE
     mapping.madvise(mmap.MADV_DONTNEED, 0, left)
-    mapping.madvise(mmap.MADV_DONTNEED, right)  # up to the end: the tail is not touched yet
-    work = np.frombuffer(mapping, offset=len(mapping) - 8 * spare)
+    if right < len(mapping):  # else the last piece reaches the mapping's last page
+        mapping.madvise(mmap.MADV_DONTNEED, right)
+    work = np.frombuffer(mmap.mmap(-1, 8 * (block + chunk + 3 * n * min(64, steps.size)), flags=mmap.MAP_PRIVATE))
     out, buffer, scratch = work[:block], work[block : block + chunk], work[block + chunk :]
     for start, stop in bounds:
         t = steps[start:stop]

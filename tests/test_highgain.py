@@ -155,10 +155,11 @@ class TestEigensolver:
             bands = build_dicke_tridiagonal(HighGainModel(params=_params(nu, n0=20.0, N=N), variant=variant)).bands
             d, e = bands[0], bands[1]
         d_in, e_in = d.copy(), e.copy()
-        w, v, _ = highgain.eigh_tridiagonal(d, e)
+        w, v, mapping = highgain.eigh_tridiagonal(d, e)
         w_ref, v_ref = eigh_tridiagonal(d, e, lapack_driver="stemr")
         assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
         assert v.flags.f_contiguous
+        assert len(mapping) == v.nbytes and np.shares_memory(v, np.frombuffer(mapping))
         assert np.array_equal(d, d_in) and np.array_equal(e, e_in)
 
     def test_couplings_must_number_one_less_than_the_levels(self):
@@ -337,8 +338,8 @@ def _probe(probe, *args, **env):
 
 
 class TestWorkTail:
-    # ``_eigh_blocks`` keeps its work arrays in the tail of the one mapping
-    # that holds the eigenvectors, and releases the columns no GEMM piece reads.
+    # ``_eigh_blocks`` keeps its work arrays in a mapping of their own, apart
+    # from the eigenvectors', and releases the columns no GEMM piece reads.
 
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="resident size is read from /proc/self/statm")
     def test_eigenvector_pages_go_back_to_the_os_when_the_call_returns(self):
@@ -379,8 +380,8 @@ class TestWorkTail:
     def test_in_place_observables_equal_the_plain_expressions_bit_for_bit(self, k):
         # k = 17 and 81 are the last GEMM blocks of 401 and 2001 samples; the
         # views have the block's row stride 2k.  The scratch starts an odd
-        # number of doubles into its buffer, off the page that starts it in the
-        # mapping's tail, so its alignment is shown not to move the sums.
+        # number of doubles into its buffer, off the page that starts it in its
+        # mapping, so its alignment is shown not to move the sums.
         rng = np.random.default_rng(k)
         n, n0, s = 1001, 100.0, 2
         c = rng.standard_normal((n, 2 * k)) / np.sqrt(n)
