@@ -69,8 +69,10 @@ _GEMM_PANEL = 384
 #: Most output rows of one eigenbasis GEMM call.  OpenBLAS packs a call's
 #: whole row range, a panel deep, into a buffer it never gives back
 #: (384 x 10001 doubles, 29 MiB, at N = 10^4), so ``_row_chunks`` cuts the
-#: rows into calls of at most this many.
-_GEMM_ROWS = 1024
+#: rows into calls of at most this many: 384 x 256 doubles, 0.75 MiB, stay
+#: resident.  The piece buffer of ``_eigh_blocks``' work mapping holds one
+#: such chunk of a later piece's product.  A cap of 128 moves output bits.
+_GEMM_ROWS = 256
 #: Largest product, in multiply-adds, that the same target hands to its
 #: small-matrix kernel, which sums the whole inner dimension in one run.
 _GEMM_SMALL = 100**3
@@ -131,16 +133,29 @@ def build_dicke_tridiagonal(model: HighGainModel) -> BandedHermitianOperator:
 
 
 def jv(order, z):
-    """Bessel function of the first kind J_order(z), from ``scipy.special``.
+    """Bessel functions J_k(z) of the integer orders k >= 0 in ``order``, at one z > 0.
 
-    ``scipy.special`` is imported on the first call rather than with the
-    package, since only the Chebyshev route needs it.  The name stays a
-    module global so the route's coefficient call resolves (and can be
-    counted) here.
+    Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1} (A&S 9.1.27,
+    DLMF 3.6) runs down from J_{m+1} = 0, J_m = 1, at the first even m above
+    M + 30 + 3 sqrt(M), M = max(highest order, z); every value is scaled by
+    1e-250 whenever one passes 1e250, and 1 = J_0 + 2 sum J_2k (A&S 9.1.46)
+    sets the scale.  One pass gives every order at one z, in NumPy alone.
+    A z below 1e-40 is refused: one step multiplies by up to 2m/z, which
+    could overflow past the rescaling.  The name stays a module global so
+    the route's coefficient call resolves (and can be counted) here.
     """
-    from scipy.special import jv as bessel_j
-
-    return bessel_j(order, z)
+    z = float(z)
+    if not z >= 1e-40:
+        raise ValueError(f"Bessel coefficients need z >= 1e-40, got z = {z}")
+    top = max(int(np.max(order)), z)
+    m = 2 * (int(top + 30 + 3 * np.sqrt(top)) // 2 + 1)
+    values = [0.0, 1.0]  # J_{m+1}, J_m, then down to J_0
+    for k in range(m, 0, -1):
+        values.append(2.0 * k / z * values[-1] - values[-2])
+        if abs(values[-1]) > 1e250:
+            values = [value * 1e-250 for value in values]
+    j = np.array(values[:0:-1])
+    return j[order] / (j[0] + 2.0 * j[2::2].sum())
 
 
 @cache
@@ -206,13 +221,16 @@ def _row_chunks(n: int) -> list[tuple[int, int]]:
     NumPy hands OpenBLAS the transposed product, so output rows are
     OpenBLAS's columns, which its kernel takes in groups that share no sums;
     cutting between groups moves no bit as long as no call goes to another
-    kernel.  So the chunks start on multiples of 16 rows, whole groups, and
-    are near-equal, which keeps the last one from being short enough for the
-    small-matrix kernel.
+    kernel.  So the chunks start on multiples of 16 rows, whole groups: the
+    ceil(n / 16) groups are dealt out as evenly as the count allows, the
+    larger shares last.  The last chunk holds the one partial group, so no
+    chunk is more than 16 rows shorter than another, nor short enough for
+    the small-matrix kernel.
     """
     count = -(-n // _GEMM_ROWS)
-    size = -(-n // (16 * count)) * 16
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    share, larger = divmod(-(-n // 16), count)
+    edges = [16 * (share * i + max(0, i - count + larger)) for i in range(count)] + [n]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _gemm_pieces(support: np.ndarray, n: int, width: int) -> list[tuple[int, int]]:
@@ -253,15 +271,19 @@ def _support_product(
 
     The product runs in the ``_gemm_pieces`` around the support, each cut
     into the ``_row_chunks`` of the C-ordered (n, width) ``out``: the first
-    piece is written into ``out`` and each later one is added through
-    ``buffer``, which holds one chunk, so no call allocates a product and
+    piece is written into ``out`` and each later one is added through the
+    front of the flat ``buffer``, which holds one chunk.  Each piece's
+    zero-padded input is built behind it, so ``buffer`` needs (longest
+    chunk + longest piece) x width elements; no call allocates, and
     OpenBLAS packs one chunk of rows at a time.
     """
     n, width = out.shape
     chunks = _row_chunks(n)
+    front = max(bottom - top for top, bottom in chunks) * width
     for i, (lo, hi) in enumerate(_gemm_pieces(support, n, width)):
         first, last = np.searchsorted(support, (lo, hi))
-        b = np.zeros((hi - lo, width))
+        b = buffer[front : front + (hi - lo) * width].reshape(hi - lo, width)
+        b.fill(0.0)
         b[support[first:last] - lo] = values[first:last]
         for top, bottom in chunks:
             if i:
@@ -295,13 +317,21 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
 
     Once the support is known, the eigenvector columns left of the first
     GEMM piece and right of the last, for every block width, go back to the
-    OS.  The block, one row chunk of piece buffer and the observable scratch
-    (448 columns and a chunk from 128 samples on) share a second anonymous
-    mapping; both mappings are unmapped once the caller drops the last
-    block.  Adding later pieces through a temporary in place of the buffer
-    raised collective-scan's peak by 0.25 MB, and plain observable
-    expressions in place of the in-place scratch ran it 3 % slower; each
-    also took OpenBLAS's packing probe past its 5 MiB bound (7.4, 8.1 MiB).
+    OS.  Every array sized by the support or the block is a view of a
+    second anonymous mapping, in five regions: the GEMM block, n x 256; the
+    piece buffer, one longest row chunk of a later piece's product and one
+    longest piece's zero-padded input, each 256 wide; the observable
+    scratch, 3 n x 64; the Re|Im input, K x 256, which holds w ell before
+    the phases are split into it; and the complex phases, K x 128.  The
+    phases are computed with the ufuncs of exp(-1j * outer(w, ell)) * u in
+    that order, through ``out=``.  Both mappings are unmapped once the
+    caller drops the last block, so no heap page of the call stays
+    resident: with those arrays on the heap and 1024-row GEMM calls, six
+    collective-scan sized calls grew resident size by 4.2-5.0 MiB, against
+    1.3-1.9 MiB now.  Adding later pieces through a temporary in place of
+    the buffer raised collective-scan's peak by 0.25 MB, and plain
+    observable expressions in place of the in-place scratch ran it 3 %
+    slower.
 
     The sizes keep every output bit: a GEMM 512 columns wide, observable
     sums over 128 samples (which move validate's N = 10^4 traces), or a
@@ -315,8 +345,6 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     if 96 < stop - start < 128 and (stop - start) % 4:
         bounds[-1:] = [(start, start + 96), (start + 96, stop)]
     widths = {2 * (stop - start) for start, stop in bounds}
-    block = n * max(widths)
-    chunk = _row_chunks(n)[0][1] * max(widths)  # the first chunk is the longest
     w, v, mapping = eigh_tridiagonal(d, a)
     support = np.flatnonzero(v[0])
     w, u = w[support], v[0, support]
@@ -326,14 +354,22 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     mapping.madvise(mmap.MADV_DONTNEED, 0, left)
     if right < len(mapping):  # else the last piece reaches the mapping's last page
         mapping.madvise(mmap.MADV_DONTNEED, right)
-    work = np.frombuffer(mmap.mmap(-1, 8 * (block + chunk + 3 * n * min(64, steps.size)), flags=mmap.MAP_PRIVATE))
-    out, buffer, scratch = work[:block], work[block : block + chunk], work[block + chunk :]
+    width = max(widths)
+    depth = max(hi - lo for lo, hi in _row_chunks(n)) + max(hi - lo for lo, hi in pieces)
+    sizes = [n * width, depth * width, 3 * n * min(64, steps.size), w.size * width, w.size * width]
+    work = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes), flags=mmap.MAP_PRIVATE))
+    out, buffer, scratch, values, phases = np.split(work, np.cumsum(sizes)[:-1])
+    phases = phases.view(complex)
     for start, stop in bounds:
         t = steps[start:stop]
         k = t.size
-        phase = np.exp(-1j * np.outer(w, t)) * u[:, None]
+        phase = phases[: w.size * k].reshape(-1, k)
+        np.multiply(-1j, np.outer(w, t, out=values[: w.size * k].reshape(-1, k)), out=phase)
+        np.multiply(np.exp(phase, out=phase), u[:, None], out=phase)
+        parts = values[: w.size * 2 * k].reshape(-1, 2 * k)
+        parts[:, :k], parts[:, k:] = phase.real, phase.imag
         c = out[: n * 2 * k].reshape(n, 2 * k)
-        _support_product(v, support, np.hstack((phase.real, phase.imag)), c, buffer)
+        _support_product(v, support, parts, c, buffer)
         for lo in range(0, k, 64):
             hi = min(lo + 64, k)
             yield slice(start + lo, start + hi), c[:, lo:hi], c[:, k + lo : k + hi], scratch

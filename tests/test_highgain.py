@@ -179,7 +179,8 @@ class TestPanelRange:
     # panels end at split = 1536 and the 465-row tail is halved.
     # ``_gemm_pieces`` cuts the GEMM into one piece per panel that holds
     # support rows, and ``_row_chunks`` cuts each piece's output rows into
-    # calls of at most 1024; at n = 2001 they are 1008 and 993 rows.
+    # calls of at most 256; at n = 2001 they are 240 rows, then 256, the last
+    # 241.
     PANEL = highgain._GEMM_PANEL
 
     @staticmethod
@@ -204,16 +205,19 @@ class TestPanelRange:
         if rows * width * n > highgain._GEMM_SMALL:
             assert all(rows * width * (hi - lo) > highgain._GEMM_SMALL for lo, hi in pieces)
 
-    @pytest.mark.parametrize("n", [2, 1024, 1025, 2001, 2048, 3001, 10001, 11585])
+    @pytest.mark.parametrize("n", [2, 256, 257, 1025, 2001, 2048, 3001, 10001, 11585])
     def test_rows_go_in_the_fewest_near_equal_chunks(self, n):
-        # 1025 rows go in 528 + 497, not 1024 + 1: a one-row call would reach
-        # the small-matrix kernel.
+        # 10001 rows go in 14 calls of 240 rows and 26 of 256, the last 241,
+        # not 39 of 256 and one of 17: a 17-row call would reach the
+        # small-matrix kernel.
         chunks = highgain._row_chunks(n)
+        sizes = [hi - lo for lo, hi in chunks]
         assert chunks[0][0] == 0 and chunks[-1][1] == n
         assert all(hi == lo for (_, hi), (lo, _) in zip(chunks, chunks[1:]))
-        assert all(lo % 16 == 0 and hi - lo <= highgain._GEMM_ROWS for lo, hi in chunks)
+        assert all(lo % 16 == 0 for lo, _ in chunks) and max(sizes) <= highgain._GEMM_ROWS
         assert len(chunks) == -(-n // highgain._GEMM_ROWS)
-        assert min(hi - lo for lo, hi in chunks) >= min(n, highgain._GEMM_ROWS // 2 - 16)
+        assert max(sizes) - min(sizes) <= 16
+        assert min(sizes) >= min(n, highgain._GEMM_ROWS // 2 - 16)
 
     def test_short_ladder_keeps_the_whole_range(self):
         for n in (100, 2 * self.PANEL - 1):
@@ -244,19 +248,20 @@ class TestPanelRange:
         assert highgain._gemm_pieces(support, 2001, 248) == [(995, 1152), (1152, 1296)]
 
     def test_a_small_kernel_product_keeps_the_whole_range(self):
-        # 1300 rows go in calls of 656 and 644 rows, and 644 x 4 x 384
-        # multiply-adds would go to the small-matrix kernel.
+        # 1300 rows go in calls of 208 and 224 rows, the last 212, and
+        # 208 x 12 x 384 multiply-adds would go to the small-matrix kernel;
+        # at width 14 a piece needs 344 rows.
         support = np.arange(400, 700)
-        assert highgain._gemm_pieces(support, 1300, 4) == [(0, 1300)]
-        assert highgain._gemm_pieces(support, 1300, 8) == [(400, 700)]
+        assert highgain._gemm_pieces(support, 1300, 12) == [(0, 1300)]
+        assert highgain._gemm_pieces(support, 1300, 14) == [(400, 744)]
 
     def test_a_small_piece_is_widened_inside_its_panel(self):
-        # One support row per panel: 993 x 256 x 3, the shorter call at
+        # One support row per panel: 240 x 256 x 16, the shortest call at
         # n = 2001, is small-kernel sized.
         pieces = highgain._gemm_pieces(np.array([500, 1000]), 2001, 256)
-        assert pieces == [(500, 504), (1000, 1004)]
+        assert pieces == [(500, 517), (1000, 1017)]
         pieces = highgain._gemm_pieces(np.array([767]), 2001, 88)
-        assert pieces == [(756, 768)]
+        assert pieces == [(720, 768)]
         self._assert_covers(pieces, np.array([767]), 2001, 88)
 
     @pytest.mark.skipif(_openblas_core() != "SkylakeX", reason="the panel model is OpenBLAS's SkylakeX DGEMM")
@@ -264,7 +269,7 @@ class TestPanelRange:
         # The route's row-chunked product of the pieces against v @ b with b
         # zero off the support.  Supports are contiguous or gapped windows;
         # at n = 1001 one reaches the tail as N = 1000 first_order's 219 rows
-        # over 0-1000 do, and n = 1025 ends in a 497-row call.
+        # over 0-1000 do, and n = 1025 ends in a 193-row call.
         rng = np.random.default_rng(13)
         for n in (700, 1001, 1025, 1645, 2212, 3001):
             v = np.asfortranarray(rng.standard_normal((n, n)))
@@ -280,7 +285,7 @@ class TestPanelRange:
                 b[support] = rng.standard_normal((support.size, width))
                 pieces = highgain._gemm_pieces(support, n, width)
                 self._assert_covers(pieces, support, n, width)
-                c, buffer = np.empty((n, width)), np.empty(n * width)
+                c, buffer = np.empty((n, width)), np.empty(2 * n * width)
                 highgain._support_product(v, support, b[support], c, buffer)
                 assert np.array_equal(c, v @ b), (n, width, pieces)
 
@@ -309,10 +314,19 @@ print(resident_mib() - before)
 """
 
 _PACK_PROBE = """
-warm, samples = map(int, sys.argv[1:])
+warm, samples, N = map(int, sys.argv[1:])
 run(warm, 1, "third_order", 7.0, samples)
 before = resident_mib()
-run(4000, 1, "third_order", 7.0, samples)
+run(N, 1, "third_order", 7.0, samples)
+print(resident_mib() - before)
+"""
+
+_HEAP_PROBE = """
+run(200, 1, "third_order", 7.0, 2001, 0.5)
+before = resident_mib()
+for N in (1000, 2000, 3000):
+    run(N, 1, "third_order", 7.0, 2001, 0.5)
+    run(N, 2, "full_second_order", 45.0, 2001, 0.25)
 print(resident_mib() - before)
 """
 
@@ -339,7 +353,8 @@ def _probe(probe, *args, **env):
 
 class TestWorkTail:
     # ``_eigh_blocks`` keeps its work arrays in a mapping of their own, apart
-    # from the eigenvectors', and releases the columns no GEMM piece reads.
+    # from the eigenvectors', and releases the columns no GEMM piece reads;
+    # no array a block writes comes from the C heap.
 
     @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="resident size is read from /proc/self/statm")
     def test_eigenvector_pages_go_back_to_the_os_when_the_call_returns(self):
@@ -352,18 +367,29 @@ class TestWorkTail:
         # OpenBLAS packs each GEMM call's output rows, a panel deep, into a
         # buffer it keeps.  N = 4000 third_order's support spans whole panels:
         # one product over all 4001 rows grew resident size by 13.0 MiB, about
-        # 384 x 4001 doubles; in row chunks the packing is 384 x 1024 doubles,
-        # 3 MiB.  The 2 MiB of slack is for the heap arrays the call frees
-        # (phases, piece inputs), which the C allocator may keep (1.3 MiB seen).
-        bound = (384 * 1024 * 8 + 2 * 2**20) / 2**20
-        assert float(_probe(_PACK_PROBE, "50", "256")) <= bound
+        # 384 x 4001 doubles; in row chunks the packing is 384 x 256 doubles,
+        # 0.75 MiB.  The 2 MiB of slack covers what else the call leaves
+        # resident: the three probes read 1.4-2.3 MiB at 1, 2 and 4 threads,
+        # and 3.6-4.8 MiB with 1024-row chunks.
+        bound = (384 * 256 * 8 + 2 * 2**20) / 2**20
+        assert float(_probe(_PACK_PROBE, "50", "256", "4000")) <= bound
         # 501 samples end in blocks of 96 and 21 samples; one 117-sample
         # block, 234 columns wide, in one call over all rows grows it by
         # 12-14 MiB.  The warm-up runs the same blocks at N = 200, so
         # OpenBLAS's buffers for the 192- and 42-column products are in place:
         # after the 256-sample warm-up they added 1.1 MiB with two threads,
-        # 0.3 MiB with one.
-        assert float(_probe(_PACK_PROBE, "200", "501")) <= bound
+        # 0.3 MiB with one.  At N = 6000 1024-row chunks read 4.8 MiB.
+        assert float(_probe(_PACK_PROBE, "200", "501", "4000")) <= bound
+        assert float(_probe(_PACK_PROBE, "200", "501", "6000")) <= bound
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="resident size is read from /proc/self/statm")
+    def test_the_call_leaves_no_heap_temporary_resident(self):
+        # Six collective-scan sized calls after a warm-up.  The phases, their
+        # Re|Im input and each piece's zero-padded input are views of the
+        # work mapping; as heap arrays of 0.3-6 MB they grew resident size by
+        # 4.2-5.0 MiB at 1, 2 and 4 threads (1024-row chunks), since glibc
+        # kept their freed pages.  In the mapping it grows by 1.3-1.9 MiB.
+        assert float(_probe(_HEAP_PROBE)) <= 2.5
 
     def test_released_columns_give_their_memory_back(self):
         # MADV_DONTNEED frees the pages of a private mapping, which then read
@@ -592,6 +618,153 @@ class TestPropagation:
     def test_no_call_can_pick_the_route(self):
         # The byte budget is the only way to eigh, so no call asks stemr for more.
         assert list(inspect.signature(propagate_dicke).parameters) == ["model", "ell_end", "sample_count"]
+
+
+# J_k(z) from mpmath 1.3.0's besselj at mp.dps = 40, rounded to double, at
+# the Chebyshev route's degree K = int(z + 25 + 12 z^(1/3)) and every
+# max(1, K // 40)-th order below it (every order up to z = 7.5).  z runs from
+# the 1e-9 spans that ``TestRouteEquivalence`` can draw to 1e3.
+_BESSEL_J = {
+    1e-09: {
+        0: 1.0, 1: 5e-10, 2: 1.25e-19, 3: 2.0833333333333336e-29, 4: 2.6041666666666672e-39,
+        5: 2.6041666666666676e-49, 6: 2.17013888888889e-59, 7: 1.550099206349207e-69,
+        8: 9.688120039682545e-80, 9: 5.382288910934747e-90, 10: 2.6911444554673736e-100,
+        11: 1.2232474797578973e-110, 12: 5.0968644989912385e-121, 13: 1.960332499612015e-131,
+        14: 7.00118749861434e-142, 15: 2.33372916620478e-152, 16: 7.292903644389938e-163,
+        17: 2.144971660114688e-173, 18: 5.958254611429689e-184, 19: 1.5679617398499183e-194,
+        20: 3.9199043496247957e-205, 21: 9.333105594344753e-216, 22: 2.1211603623510803e-226,
+        23: 4.611218179024088e-237, 24: 9.606704539633517e-248, 25: 1.9213409079267036e-258,
+    },
+    0.0001: {
+        0: 0.9999999975, 1: 4.99999999375e-05, 2: 1.2499999989583335e-09, 3: 2.0833333320312503e-14,
+        4: 2.604166665364584e-19, 5: 2.604166665581598e-24, 6: 2.17013888811384e-29,
+        7: 1.5500992058648008e-34, 8: 9.6881200369914e-40, 9: 5.382288909589174e-45, 10: 2.69114445485575e-50,
+        11: 1.223247479503054e-55, 12: 5.0968644980110715e-61, 13: 1.9603324992619553e-66,
+        14: 7.001187497447474e-72, 15: 2.3337291658401345e-77, 16: 7.29290364331745e-83,
+        17: 2.1449716598167747e-88, 18: 5.958254610645706e-94, 19: 1.5679617396539227e-99,
+        20: 3.919904349158139e-105, 21: 9.333105593284169e-111, 22: 2.1211603621205186e-116,
+        23: 4.611218178543751e-122, 24: 9.606704538672844e-128, 25: 1.9213409077419586e-133,
+    },
+    0.1: {
+        0: 0.99750156206604, 1: 0.049937526036242, 2: 0.001248958658799919, 3: 2.0820315754756265e-05,
+        4: 2.6028648545684036e-07, 5: 2.6030817909644417e-09, 6: 2.1693639603760032e-11,
+        7: 1.549614867620228e-13, 8: 9.68542923159465e-16, 9: 5.380943491602331e-18,
+        10: 2.690532895434217e-20, 11: 1.2229926610356454e-22, 12: 5.095884420251415e-25,
+        13: 1.9599824694071795e-27, 14: 7.000020725188064e-30, 15: 2.3333645478334648e-32,
+        16: 7.291831233034797e-35, 17: 2.144673766982821e-37, 18: 5.957470679556624e-40,
+        19: 1.567765756298377e-42, 20: 3.919437720858622e-45, 21: 9.332045071801802e-48,
+        22: 2.1209298134501091e-50, 23: 4.610737867813097e-53, 24: 9.605743915364207e-56,
+        25: 1.9211561721613563e-58, 26: 3.694544257562705e-61, 27: 6.841771250090707e-64,
+        28: 1.2217486276397766e-66, 29: 2.106469204191761e-69, 30: 3.510791444621463e-72,
+    },
+    1.0: {
+        0: 0.7651976865579666, 1: 0.4400505857449335, 2: 0.11490348493190047, 3: 0.019563353982668407,
+        4: 0.0024766389641099553, 5: 0.00024975773021123444, 6: 2.093833800238927e-05,
+        7: 1.5023258174368083e-06, 8: 9.4223441726045e-08, 9: 5.249250179911875e-09,
+        10: 2.6306151236874534e-10, 11: 1.1980067463031371e-11, 12: 4.999718179448405e-13,
+        13: 1.925616764480173e-14, 14: 6.885408200044225e-16, 15: 2.2975315322103443e-17,
+        16: 7.186396586807493e-19, 17: 2.1153755680532613e-20, 18: 5.880344573595758e-22,
+        19: 1.5484784412116535e-23, 20: 3.8735030085246576e-25, 21: 9.22762198209667e-27,
+        22: 2.0982239559437772e-28, 23: 4.563424055950105e-30, 24: 9.511097932712494e-32,
+        25: 1.902951751891382e-33, 26: 3.660826744416803e-35, 27: 6.781552053554111e-37,
+        28: 1.2113645024171123e-38, 29: 2.089159981718168e-40, 30: 3.482869794251483e-42,
+        31: 5.618948327215681e-44, 32: 8.781686222395147e-46, 33: 1.330855117212922e-47,
+        34: 1.9575512101373196e-49, 35: 2.797056804555227e-51, 36: 3.885530513390647e-53,
+        37: 5.251650860388843e-55, 38: 6.911232970971626e-57,
+    },
+    7.5: {
+        0: 0.2663396578803784, 1: 0.1352484275797055, 2: -0.23027341052579026, 3: -0.2580609131934603,
+        4: 0.023824679971022014, 5: 0.28347390516255044, 6: 0.3541405269123786, 7: 0.2831509378972553,
+        8: 0.1744078904958313, 9: 0.08891922849385146, 10: 0.03899825788941221, 11: 0.015076125877914433,
+        12: 0.0052250446858034625, 13: 0.0016440171166566462, 14: 0.0004742146519395773,
+        15: 0.0001263842505844424, 16: 3.132235039819239e-05, 17: 7.257777781178445e-06,
+        18: 1.5795755431498952e-06, 19: 3.241848259410514e-07, 20: 6.29609082847652e-08,
+        21: 1.160668491102967e-08, 22: 2.0365272170009618e-09, 23: 3.4094142870930483e-10,
+        24: 5.458021241610778e-11, 25: 8.371930753784964e-12, 26: 1.2326592757919868e-12,
+        27: 1.7450689170614395e-13, 28: 2.3790344492249476e-14, 29: 3.1276805026521577e-15,
+        30: 3.970513949272091e-16, 31: 4.873065676551508e-17, 32: 5.788701001048881e-18,
+        33: 6.662584434353753e-19, 34: 7.437330118242204e-20, 35: 8.059487285251211e-21,
+        36: 8.485801465892518e-22, 37: 8.688212200560678e-23, 38: 8.656790532735022e-24,
+        39: 8.400220594414496e-25, 40: 7.943888545605348e-26, 41: 7.3260520897875e-27,
+        42: 6.592840589565192e-28, 43: 5.792937052551537e-29, 44: 4.9727230693903774e-30,
+        45: 4.172468219983882e-31, 46: 3.423879459028158e-32, 47: 2.7490583090658475e-33,
+        48: 2.1606955001037185e-34, 49: 1.663193106691223e-35, 50: 1.2543492639479537e-36,
+        51: 9.272578572715422e-38, 52: 6.721421941343603e-39, 53: 4.7793185947707905e-40,
+        54: 3.3348339265780183e-41, 55: 2.284225950155604e-42,
+    },
+    60.0: {
+        0: -0.09147180408906187, 3: -0.04039671152165516, 6: 0.10164054540455694, 9: -0.02042094536962273,
+        12: -0.07781225695244517, 15: 0.10327644058741856, 18: -0.0656400886672302, 21: 0.009987320876403975,
+        24: 0.03422485166177975, 27: -0.059529462619940646, 30: 0.06819856782673352,
+        33: -0.061463807931292073, 36: 0.03515128994308308, 39: 0.016923518217627276,
+        42: -0.08697123720796744, 45: 0.12611616228068284, 48: -0.0516418740125217, 51: -0.11387452189865731,
+        54: 0.08651060884559457, 57: 0.1733246251210285, 60: 0.11425208221300291, 63: 0.04511682129050738,
+        66: 0.012428513577219021, 69: 0.002568776899862185, 72: 0.0004162182625574983,
+        75: 5.447495460278403e-05, 78: 5.887209430860175e-06, 81: 5.343877636326645e-07,
+        84: 4.1302797416592854e-08, 87: 2.749060037520279e-09, 90: 1.5907772884120966e-10,
+        93: 8.068756182654474e-12, 96: 3.6129891148878166e-13, 99: 1.437178321893865e-14,
+        102: 5.106904434382357e-16, 105: 1.6292080540705452e-17, 108: 4.687327663596323e-19,
+        111: 1.2211902244901055e-20, 114: 2.8918532010268767e-22, 117: 6.245924000395628e-24,
+        120: 1.234301070652304e-25, 123: 2.2383281138889775e-27, 126: 3.734981984553852e-29,
+        129: 5.7493511099388075e-31, 131: 3.405813835195724e-32,
+    },
+    190.0: {
+        0: 0.04357951594026227, 7: -0.043400656176545274, 14: -0.019132975651289918, 21: 0.055307712629674814,
+        28: -0.05454713459015621, 35: 0.04227374551862881, 42: -0.03627029154942414, 49: 0.041801211952012814,
+        56: -0.054710778035997096, 63: 0.05749276965949322, 70: -0.02182669542678772,
+        77: -0.044986276527037246, 84: 0.04435184334648505, 91: 0.050873847971136324,
+        98: -0.006291515158200202, 105: -0.048377850750734364, 112: -0.0624765298231913,
+        119: -0.06518366363150094, 126: -0.06392497556192359, 133: -0.04587175372440078,
+        140: 0.011551161533101168, 147: 0.07214242178377174, 154: 0.0006617106985082567,
+        161: -0.06775308221677517, 168: 0.08462030517382446, 175: -0.09247416686495331,
+        182: 0.07994770030520167, 189: 0.09015589657292801, 196: 0.020045878014710413,
+        203: 0.0018962300243168051, 210: 9.4921809920942e-05, 217: 2.8124463160012174e-06,
+        224: 5.2933897270535216e-08, 231: 6.651289352251594e-10, 238: 5.7922857339973385e-12,
+        245: 3.6005584946402836e-14, 252: 1.6364164570507772e-16, 259: 5.547933001775192e-19,
+        266: 1.427248729009511e-21, 273: 2.8275937084229886e-24, 280: 4.3702674930548126e-27,
+        283: 2.5355917566647015e-28,
+    },
+    1000.0: {
+        0: 0.024786686152420176, 28: 0.02110866736777082, 56: -0.004660396258584103,
+        84: -0.021190843547986473, 112: 0.024886566078835538, 140: -0.02121904902898081,
+        168: -0.004956863773914436, 196: 0.020903896756840065, 224: 0.024765027815977097,
+        252: 0.019693015270964287, 280: -0.009562123415929278, 308: -0.016437723096206613,
+        336: 0.020894651705153387, 364: -0.008863373979274662, 392: -0.023244678601502852,
+        420: -0.005875532825464947, 448: -0.00602749126322081, 476: -0.024087386206741387,
+        504: -0.006973018326266098, 532: 0.018093841441488023, 560: -0.007005539336190173,
+        588: -0.025677505966623857, 616: -0.010959651113198871, 644: -0.017016145747486257,
+        672: -0.02782787922177487, 700: 0.026175868535258686, 728: -0.02969995602231588,
+        756: 0.011454548004627446, 784: 0.02505936358354181, 812: 0.005168100744220206,
+        840: -0.03207456989759726, 868: 0.026175200242099843, 896: 0.03464224166553132,
+        924: 0.04005652548559154, 952: -0.04383467443507452, 980: -0.016027448562905406,
+        1008: 0.01687450615863148, 1036: 3.8767434697483464e-05, 1064: 5.132229401248254e-09,
+        1092: 8.027944767374518e-14, 1120: 2.1289904040831932e-19, 1145: 6.017969063968588e-25,
+    },
+}
+
+
+class TestBesselCoefficients:
+    # ``jv`` is Miller's backward recurrence.  SciPy's jv was 1.8e-14 off at
+    # z = 1e3 (sum over k <= K 3.2e-12); the recurrence is 5.0e-16 off
+    # (sum 1.6e-13).
+
+    @pytest.mark.parametrize("z", sorted(_BESSEL_J))
+    def test_matches_recorded_mpmath_values(self, z):
+        orders = np.array(list(_BESSEL_J[z]))
+        ref = np.array(list(_BESSEL_J[z].values()))
+        error = np.abs(highgain.jv(orders, z) - ref)
+        assert error.max() <= 1e-15, z
+        # Past k = z, J_k decays monotonically and the recurrence keeps it
+        # within 1e-13 relative (1.4e-14 seen): a start index too close to K
+        # breaks that first.
+        tail = orders >= z
+        assert np.all(error[tail] <= 1e-13 * np.abs(ref[tail])), z
+
+    def test_a_z_below_the_rescalings_reach_is_refused(self):
+        # At z = 1e-60 one step overflows past the 1e250 rescaling, and every
+        # coefficient came out NaN.
+        with pytest.raises(ValueError, match=r"Bessel coefficients need z >= 1e-40, got z = 1e-60"):
+            highgain.jv(np.arange(26), 1e-60)
 
 
 class TestRouteEquivalence:
