@@ -185,14 +185,17 @@ def sample_axis(end: float, samples: int) -> np.ndarray:
     """``samples`` equally spaced abscissae from 0 to ``end``, both included.
 
     The one check of a span and a sample count: every figure runner and
-    propagator takes its axis from here, so a span must be positive and
-    finite and a sample count an integer of at least 2 everywhere.
+    propagator takes its axis from here, so everywhere a span must be positive
+    and finite, a sample count an integer >= 2, and the points distinct.
     """
     if not (end > 0 and np.isfinite(end)):
         raise ValueError(f"end must be positive and finite, got {end}")
     if not _is_integer(samples) or samples < 2:
         raise ValueError(f"samples must be at least 2 (an integer), got {samples!r}")
-    return np.linspace(0.0, end, samples)
+    steps = np.linspace(0.0, end, samples)
+    if not np.all(np.diff(steps) > 0):
+        raise ValueError(f"end = {end} is too small for samples = {samples} distinct points")
+    return steps
 
 
 @dataclass

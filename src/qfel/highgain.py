@@ -132,22 +132,23 @@ def build_dicke_tridiagonal(model: HighGainModel) -> BandedHermitianOperator:
     return BandedHermitianOperator(size=N + 1, bands={0: d, 1: a})
 
 
-def jv(order, z):
-    """Bessel functions J_k(z) of the integer orders k >= 0 in ``order``, at one z > 0.
+def jv(z):
+    """J_0(z) ... J_K(z), the Bessel terms one Chebyshev step at z >= 0 keeps.
 
-    Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1} (A&S 9.1.27,
-    DLMF 3.6) runs down from J_{m+1} = 0, J_m = 1, at the first even m above
-    M + 30 + 3 sqrt(M), M = max(highest order, z); every value is scaled by
-    1e-250 whenever one passes 1e250, and 1 = J_0 + 2 sum J_2k (A&S 9.1.46)
-    sets the scale.  One pass gives every order at one z, in NumPy alone.
-    A z below 1e-40 is refused: one step multiplies by up to 2m/z, which
-    could overflow past the rescaling.  The name stays a module global so
-    the route's coefficient call resolves (and can be counted) here.
+    K >= 1 (a step always applies T_0 and T_1) is the smallest index whose
+    dropped tail 2 sum_{k>K} |J_k(z)| is <= 1e-16.  Miller's backward
+    recurrence J_{k-1} = (2k/z) J_k - J_{k+1} (A&S 9.1.27, DLMF 3.6) runs down
+    from J_{m+1} = 0, J_m = 1, at the first even m above M + 30 + 3 sqrt(M),
+    M = int(z + 25 + 12 z^(1/3)) >= K; every value is scaled by 1e-250
+    whenever one passes 1e250, and 1 = J_0 + 2 sum J_2k (A&S 9.1.46) sets the
+    scale.  Below z = 1e-40, where one step's factor 2m/z could overflow past
+    the rescaling, J_0 rounds to 1, J_1 = z/2 and every later term is below
+    z^2.  The name stays a module global so the route's call is counted here.
     """
     z = float(z)
-    if not z >= 1e-40:
-        raise ValueError(f"Bessel coefficients need z >= 1e-40, got z = {z}")
-    top = max(int(np.max(order)), z)
+    if z < 1e-40:
+        return np.array([1.0, z / 2.0])
+    top = int(z + 25 + 12 * z ** (1.0 / 3.0))
     m = 2 * (int(top + 30 + 3 * np.sqrt(top)) // 2 + 1)
     values = [0.0, 1.0]  # J_{m+1}, J_m, then down to J_0
     for k in range(m, 0, -1):
@@ -155,7 +156,9 @@ def jv(order, z):
         if abs(values[-1]) > 1e250:
             values = [value * 1e-250 for value in values]
     j = np.array(values[:0:-1])
-    return j[order] / (j[0] + 2.0 * j[2::2].sum())
+    j /= j[0] + 2.0 * j[2::2].sum()
+    tail = 2.0 * np.cumsum(np.abs(j[:0:-1]))[::-1]  # tail[k] = 2 sum_{i>k} |J_i|
+    return j[: max(1, np.count_nonzero(tail > 1e-16)) + 1]
 
 
 @cache
@@ -378,10 +381,9 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
 def _chebyshev_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     """Amplitudes from one Chebyshev series of exp(-i H dt), applied once per sample.
 
-    The spectrum is mapped to [-1, 1] with the Gershgorin bounds; the
-    expansion degree grows linearly with the spectral half-width times dt,
-    with enough margin that the Bessel coefficients have decayed below
-    double-precision roundoff.
+    The spectrum is mapped to [-1, 1] with the Gershgorin bounds, and each
+    step keeps the terms ``jv(half-width * dt)`` returns: those whose dropped
+    Bessel tail is <= 1e-16.
     """
     radius = np.zeros_like(d)
     radius[:-1] += np.abs(a)
@@ -390,11 +392,9 @@ def _chebyshev_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Block
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
     dt = steps[1] - steps[0]
-    z = half * dt
-    degree = int(z + 25 + 12 * z ** (1.0 / 3.0))
-    # Term k weighs exp(-i mid dt) (2 - delta_k0) (-i)^k J_k(z); (-i)^k is exact from its period.
-    k = np.arange(degree + 1)
-    weights = np.exp(-1j * mid * dt) * np.array([2.0, -2j, -2.0, 2j])[k % 4] * jv(k, z)
+    # Term k weighs exp(-i mid dt) (2 - delta_k0) (-i)^k J_k(half dt); (-i)^k is exact from its period.
+    j = jv(half * dt)
+    weights = np.exp(-1j * mid * dt) * np.array([2.0, -2j, -2.0, 2j])[np.arange(j.size) % 4] * j
     weights[0] /= 2.0
     shifted = d - mid
 

@@ -533,6 +533,7 @@ class TestExitCodes:
                 "--n0/--electrons do not apply",
             ),
             (["fig2", "--end", "-inf"], "end must be positive and finite"),
+            (["fig4", "--end", "1e-320", "--samples", "10000"], "end = 1e-320 is too small for samples = 10000"),
             (["fig2", "--alpha", "-1e-3"], "alpha must be positive"),
             (
                 ["fig2", "--alpha", "0.75", "--end", "10", "--samples", "6"],

@@ -540,14 +540,32 @@ class TestPropagation:
         calls = []
         original = highgain.jv
 
-        def counting_jv(order, z):
+        def counting_jv(z):
             calls.append(z)
-            return original(order, z)
+            return original(z)
 
         monkeypatch.setattr(highgain, "jv", counting_jv)
         model = HighGainModel(params=_params(1, n0=4.0, N=16), variant="third_order")
         _on_route(model, 6.0, 7, "chebyshev")
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("route", ["eigh", "chebyshev"])
+    @pytest.mark.parametrize("span", [1e-20, 1e-45, 1e-300])
+    def test_every_span_the_axis_accepts_is_propagated(self, route, span):
+        # Near span 1e-20 the Bessel tail past J_0 is already below 1e-16, yet
+        # the first Chebyshev step applies T_0 and T_1; below z = 1e-40 the
+        # coefficients once were refused.
+        model = HighGainModel(params=_params(1, n0=4.0, N=50), variant="third_order")
+        trace = _on_route(model, span, 3, route)
+        assert np.max(np.abs(trace.column("n") - 4.0)) <= 1e-12
+        assert np.max(np.abs(trace.column("norm") - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("N", [11_584, 11_585])
+    def test_a_tiny_span_is_propagated_on_both_sides_of_the_byte_budget(self, N):
+        # 11 584 is the last N on eigh, 11 585 the first on Chebyshev.  The
+        # eigenvectors' roundoff moves n by 3.1e-12 at N = 11 584.
+        trace = propagate_dicke(HighGainModel(params=_params(1, n0=4.0, N=N), variant="third_order"), 1e-45, 2)
+        assert trace.column("n") == pytest.approx([4.0, 4.0], rel=1e-10)
 
     def test_matches_dense_expm_oracle(self):
         model = HighGainModel(params=_params(1, alpha=0.5, n0=2.0, N=12), variant="third_order")
@@ -621,10 +639,29 @@ class TestPropagation:
 
 
 # J_k(z) from mpmath 1.3.0's besselj at mp.dps = 40, rounded to double, at
-# the Chebyshev route's degree K = int(z + 25 + 12 z^(1/3)) and every
-# max(1, K // 40)-th order below it (every order up to z = 7.5).  z runs from
-# the 1e-9 spans that ``TestRouteEquivalence`` can draw to 1e3.
+# the index M = int(z + 25 + 12 z^(1/3)) that bounds where ``jv`` starts its
+# recurrence and every max(1, M // 40)-th order below it (every order up to
+# z = 7.5).  z runs from the recurrence's lowest, 1e-40, past the 1e-9 spans
+# that ``TestRouteEquivalence`` can draw, to 1e3.  ``_BESSEL_K`` is, per z,
+# the smallest K >= 1 with 2 sum_{k>K} |J_k(z)| <= 1e-16, summed over
+# k < M + 60.  Both are recorded again, from the repository root, with:
+#
+#     python3 -c "import mpmath as m; m.mp.dps = 40; zs = [1e-40, 1e-20, 1e-9, 1e-4, 0.1, 1.0, 7.5, 60.0, 190.0, 1000.0]; tops = {z: int(z + 25 + 12 * z ** (1 / 3)) for z in zs}; print({z: {k: float(m.besselj(k, z)) for k in [*range(0, t, max(1, t // 40)), t]} for z, t in tops.items()}); J = {z: [abs(m.besselj(k, z)) for k in range(t + 60)] for z, t in tops.items()}; print({z: next(K for K in range(1, len(j)) if 2 * m.fsum(j[K + 1:]) <= 1e-16) for z, j in J.items()})"
 _BESSEL_J = {
+    1e-40: {
+        0: 1.0, 1: 5e-41, 2: 1.2499999999999997e-81, 3: 2.083333333333333e-122, 4: 2.6041666666666658e-163,
+        5: 2.6041666666666658e-204, 6: 2.1701388888888878e-245, 7: 1.5500992063492057e-286, 8: 0.0, 9: 0.0,
+        10: 0.0, 11: 0.0, 12: 0.0, 13: 0.0, 14: 0.0, 15: 0.0, 16: 0.0, 17: 0.0, 18: 0.0, 19: 0.0, 20: 0.0,
+        21: 0.0, 22: 0.0, 23: 0.0, 24: 0.0, 25: 0.0,
+    },
+    1e-20: {
+        0: 1.0, 1: 5e-21, 2: 1.25e-41, 3: 2.083333333333333e-62, 4: 2.604166666666666e-83,
+        5: 2.604166666666666e-104, 6: 2.170138888888888e-125, 7: 1.5500992063492057e-146,
+        8: 9.688120039682536e-168, 9: 5.382288910934742e-189, 10: 2.6911444554673706e-210,
+        11: 1.2232474797578957e-231, 12: 5.0968644989912317e-253, 13: 1.960332499612012e-274,
+        14: 7.001187498614328e-296, 15: 2.333729e-317, 16: 0.0, 17: 0.0, 18: 0.0, 19: 0.0, 20: 0.0, 21: 0.0,
+        22: 0.0, 23: 0.0, 24: 0.0, 25: 0.0,
+    },
     1e-09: {
         0: 1.0, 1: 5e-10, 2: 1.25e-19, 3: 2.0833333333333336e-29, 4: 2.6041666666666672e-39,
         5: 2.6041666666666676e-49, 6: 2.17013888888889e-59, 7: 1.550099206349207e-69,
@@ -743,28 +780,38 @@ _BESSEL_J = {
 }
 
 
+_BESSEL_K = {1e-40: 1, 1e-20: 1, 1e-09: 1, 0.0001: 3, 0.1: 8, 1.0: 14, 7.5: 31, 60.0: 104, 190.0: 254, 1000.0: 1110}
+
+
 class TestBesselCoefficients:
     # ``jv`` is Miller's backward recurrence.  SciPy's jv was 1.8e-14 off at
     # z = 1e3 (sum over k <= K 3.2e-12); the recurrence is 5.0e-16 off
-    # (sum 1.6e-13).
+    # (sum 1.5e-13).
 
     @pytest.mark.parametrize("z", sorted(_BESSEL_J))
     def test_matches_recorded_mpmath_values(self, z):
-        orders = np.array(list(_BESSEL_J[z]))
-        ref = np.array(list(_BESSEL_J[z].values()))
-        error = np.abs(highgain.jv(orders, z) - ref)
+        j = highgain.jv(z)
+        orders = np.array([k for k in _BESSEL_J[z] if k < j.size])
+        ref = np.array([_BESSEL_J[z][k] for k in orders])
+        error = np.abs(j[orders] - ref)
         assert error.max() <= 1e-15, z
         # Past k = z, J_k decays monotonically and the recurrence keeps it
-        # within 1e-13 relative (1.4e-14 seen): a start index too close to K
+        # within 1e-13 relative (1.3e-14 seen): a start index too close to K
         # breaks that first.
         tail = orders >= z
         assert np.all(error[tail] <= 1e-13 * np.abs(ref[tail])), z
 
-    def test_a_z_below_the_rescalings_reach_is_refused(self):
-        # At z = 1e-60 one step overflows past the 1e250 rescaling, and every
-        # coefficient came out NaN.
-        with pytest.raises(ValueError, match=r"Bessel coefficients need z >= 1e-40, got z = 1e-60"):
-            highgain.jv(np.arange(26), 1e-60)
+    @pytest.mark.parametrize("z", sorted(_BESSEL_K))
+    def test_keeps_the_fewest_terms_whose_dropped_tail_is_below_1e_16(self, z):
+        assert highgain.jv(z).size == _BESSEL_K[z] + 1
+        assert _BESSEL_K[z] <= max(_BESSEL_J[z])
+
+    @pytest.mark.parametrize("z", [0.0, 1e-60, 1e-300])
+    def test_a_z_below_the_rescalings_reach_keeps_the_two_leading_terms(self, z):
+        # One recurrence step multiplies by up to 2m/z, which overflowed past
+        # the 1e250 rescaling at z = 1e-60.  Below 1e-40, J_0 rounds to 1,
+        # J_1 = z/2, and every later term is below z^2.
+        assert np.array_equal(highgain.jv(z), [1.0, z / 2.0])
 
 
 class TestRouteEquivalence:
@@ -784,9 +831,10 @@ class TestRouteEquivalence:
     #   * eigh: the eigenvalues are off by <= n u ||H||, which moves each
     #     phase by <= n u kappa; the eigenvectors are orthogonal to n u per
     #     pair, so V V^T is the identity to n^2 u.
-    #   * chebyshev: the Bessel tail is below u by the choice of degree, and
-    #     the recurrence's roundoff grows with the number of terms, which is
-    #     the half-width times the span plus a few dozen per sample.
+    #   * chebyshev: each step drops a Bessel tail of at most 1e-16 < u, by
+    #     construction in ``jv``, and the recurrence's roundoff grows with the
+    #     number of terms, which is the half-width times the span plus a few
+    #     dozen per sample.
     # Route and oracle both err, and sum_mu |dP| <= 2 ||d psi|| by
     # Cauchy-Schwarz, so tol_P = 4 n u (n + kappa) per level and for the sum.
     # n = n0 sum P + s sum mu P then moves by at most (n0 + s N) tol_P.  The
