@@ -107,11 +107,22 @@ def run_fig2(
     return _write_csv(out, meta, table)
 
 
+#: fig3's panels, one row each: the resonance, the defaults of (alpha, end, samples),
+#: the closed forms set beside the numerics (column name to function), and the numeric variants.
+_FIG3_PANELS = {
+    "top": (1, (0.5, 7.0, 501), {
+        "n_analytic_order3": partial(analytic_n_first, order=3),
+        "n_analytic_order1": partial(analytic_n_first, order=1),
+    }, ("third_order",)),
+    "bottom": (2, (0.25, 45.0, 601), {"n_analytic": analytic_n_second}, ("dicke_only", "full_second_order")),
+}
+
+
 def run_fig3(
     panel: str | None = None,
     alpha: float | None = None,
-    n0: float = 1000.0,
-    electrons: int = 10_000,
+    n0: float = validation.FIG_N0,
+    electrons: int = validation.FIG_N,
     end: float | None = None,
     samples: int | None = None,
     out: Path | str | None = None,
@@ -122,27 +133,14 @@ def run_fig3(
     numeric model.  ``bottom``: second resonance — the mean-field closed form
     next to the pair-coupling-only and full numeric models.
     """
-    if panel == "top":
-        resonance = 1
-        alpha = 0.5 if alpha is None else alpha
-        end = 7.0 if end is None else end
-        samples = 501 if samples is None else samples
-        closed_forms = {
-            "n_analytic_order3": partial(analytic_n_first, order=3),
-            "n_analytic_order1": partial(analytic_n_first, order=1),
-        }
-        variants = ("third_order",)
-    elif panel == "bottom":
-        resonance = 2
-        alpha = 0.25 if alpha is None else alpha
-        end = 45.0 if end is None else end
-        samples = 601 if samples is None else samples
-        closed_forms = {"n_analytic": analytic_n_second}
-        variants = ("dicke_only", "full_second_order")
-    elif panel is None:
+    if panel is None:
         raise ValueError("fig3 needs --panel top or --panel bottom")
-    else:
+    if panel not in _FIG3_PANELS:
         raise ValueError(f"panel must be 'top' or 'bottom', got {panel!r}")
+    resonance, defaults, closed_forms, variants = _FIG3_PANELS[panel]
+    alpha, end, samples = (
+        default if value is None else value for value, default in zip((alpha, end, samples), defaults)
+    )
     params = FelParams(alpha=alpha, nu=resonance, n0=n0, N=electrons, context="high")
     ell = sample_axis(end, samples)
     meta = {
@@ -165,7 +163,7 @@ def run_fig3(
 def run_fig4(
     alpha: float = 0.25,
     n0: float | None = None,
-    electrons: int = 10_000,
+    electrons: int = validation.FIG_N,
     end: float | None = None,
     samples: int = 1201,
     out: Path | str = "fig4.csv",
@@ -312,9 +310,9 @@ def run_sweep(
         rows = [_sweep_point_low(a, nu, variant, end, samples) for a in alpha for nu in resonance]
         regime_meta = {"variant": variant, "end": "auto" if end is None else end, "samples": samples}
     elif regime == "high":
-        n0 = (1000.0,) if n0 is None else n0
+        n0 = (validation.FIG_N0,) if n0 is None else n0
         resonance = (1, 2) if resonance is None else resonance
-        electrons = 10_000 if electrons is None else electrons
+        electrons = validation.FIG_N if electrons is None else electrons
         if variant is not None:
             raise ValueError("the high-gain sweep is closed-form only; --variant does not apply")
         if end is not None or samples is not None:
@@ -433,6 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    import warnings
+
     # argparse reads a value such as "-inf" or "-1e-3" as an unknown option, so
     # "--end -inf" goes on as "--end=-inf": every flag but --help takes one value.
     tokens: list[str] = []
@@ -447,8 +447,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         opts = _resolve_options(args)
         if args.command != "validate":
-            # A value that overflows or turns NaN raises instead of reaching the CSV.
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
+            # A value that overflows or turns NaN raises instead of reaching the CSV;
+            # a warning (alpha > 1) is kept, to be printed as one line if the run succeeds.
+            with (
+                np.errstate(over="raise", invalid="raise", divide="raise"),
+                warnings.catch_warnings(record=True) as caught,
+            ):
+                warnings.simplefilter("always", UserWarning)
                 path = _runner(args.command)(**opts)
     except (ValueError, MemoryError) as err:  # a bad scenario, a domain check, or a size too large
         print(f"error: {err}", file=sys.stderr)
@@ -467,6 +472,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         except OSError as err:  # e.g. no OpenBLAS bundled with NumPy for the eigh route
             print(f"error: {err}", file=sys.stderr)
             return 1
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
     print(f"wrote {path}")
     return 0
 

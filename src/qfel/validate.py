@@ -48,7 +48,7 @@ from .specfun import elliptic_K, jacobi_cn
 
 __all__ = ["Gate", "CheckResult", "ValidationContext", "run_all", "CHECKS"]
 
-#: Reference scenario shared by the collective-regime figures.
+#: The collective scenario of the paper's figures, for these checks and for the CLI's defaults.
 FIG_N = 10_000
 FIG_N0 = 1_000
 

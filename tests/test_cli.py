@@ -326,12 +326,15 @@ class TestSweepLow:
             assert cols["error"][i] == "second-resonance frequency breaks down: 16 alpha^2 / 9 >= 1"
             assert math.isnan(cols["fitted_frequency"][i])
 
-    def test_first_resonance_breakdown_is_named(self, tmp_path):
+    def test_first_resonance_breakdown_is_named(self, tmp_path, capsys):
         # The auto span is pi / gain_frequency(1, alpha), whose bracket
         # 1 - alpha^2 / 4 is 0 at alpha = 2 and negative above it.
         out = tmp_path / "breakdown.csv"
-        with pytest.warns(UserWarning, match="outside the quantum regime"):
-            assert cli.main(["sweep", "--alpha", "2,2.5", "--resonance", "1", "--out", str(out)]) == 0
+        assert cli.main(["sweep", "--alpha", "2,2.5", "--resonance", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: alpha = 2.0 exceeds 1: outside the quantum regime\n"
+            "warning: alpha = 2.5 exceeds 1: outside the quantum regime\n"
+        )
         _, _, cols = _read_csv(out)
         for i in (0, 1):
             assert cols["error"][i] == "first-resonance frequency breaks down: alpha^2 / 4 >= 1"
@@ -362,7 +365,6 @@ class TestSweepHigh:
             assert cols["length_ratio_shorthand"][i] == pytest.approx(lmax_ratio(p), rel=1e-9)
             assert cols["length_ratio_exact"][i] > 1.0
 
-    @pytest.mark.filterwarnings("ignore:alpha")
     def test_crossover_and_breakdown_rows(self, tmp_path):
         out = tmp_path / "strong.csv"
         assert cli.main(["sweep", "--regime", "high", "--alpha", "2.5,3.0", "--out", str(out)]) == 0
@@ -382,7 +384,6 @@ class TestSweepHigh:
                 assert np.isnan(cols["max_position"][i])
                 assert np.isfinite(cols["length_ratio_shorthand"][i])
 
-    @pytest.mark.filterwarnings("ignore:alpha")
     def test_phase_factor_breakdown_is_reported_once(self, tmp_path):
         # The row reads the first-resonance length for max_position and for
         # the exact ratio; it is computed once, so its error is written once.
@@ -406,7 +407,6 @@ class TestSweepHigh:
             assert np.isnan(cols["length_ratio_shorthand"][i])
             assert cols["error"][i].count("alpha must be positive and finite") == 1
 
-    @pytest.mark.filterwarnings("ignore:alpha")
     def test_exact_ratio_is_written_where_only_the_shorthand_refuses(self, tmp_path):
         # At n0/N = 2 the logarithmic shorthand refuses, but both exact lengths
         # exist; at alpha = 3 the first-resonance length is refused too, and
@@ -539,11 +539,10 @@ class TestExitCodes:
                 ["fig2", "--alpha", "0.75", "--end", "10", "--samples", "6"],
                 "second-resonance frequency breaks down: 16 alpha^2 / 9 >= 1",
             ),
-            pytest.param(
+            (
                 ["fig3", "--panel", "top", "--alpha", "2.7", "--electrons", "100", "--n0", "10",
                  "--samples", "11", "--end", "40"],
                 "first-resonance phase factor breaks down",
-                marks=pytest.mark.filterwarnings("ignore:alpha"),
             ),
             (
                 ["sweep", "--variant", "dicke_only"],
@@ -561,6 +560,13 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert not out.exists()
+
+    def test_alpha_above_one_is_one_warning_line(self, tmp_path, capsys):
+        # FelParams warns once per resonance; the CLI prints each message once.
+        out = tmp_path / "fig4.csv"
+        assert cli.main(["fig4", "--alpha", "1.5", "--samples", "5", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "warning: alpha = 1.5 exceeds 1: outside the quantum regime\n"
+        assert out.exists()
 
     def test_a_size_that_does_not_fit_is_a_one_line_usage_error(self, tmp_path, capsys, monkeypatch):
         # Raised in place of allocating: "qfel fig4 --samples 100000000000" asks for 745 GiB.
@@ -645,7 +651,6 @@ def cli_calls(draw):
 
 
 class TestFuzz:
-    @pytest.mark.filterwarnings("ignore:alpha")
     @settings(max_examples=300, deadline=None, derandomize=True)
     @example(["fig2", "--end=nan"])
     @example(["fig4", "--alpha=1e300"])
@@ -661,10 +666,11 @@ class TestFuzz:
             assert code in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
             if code == 2:
-                assert lines and lines[-1].startswith("error: ")
+                assert len(lines) == 1 and lines[0].startswith("error: ")
                 assert not out.exists()
             if code != 0:
                 return
+            assert all(line.startswith("warning: ") for line in lines)
             _, _, cols = _read_csv(out)
             if argv[0] != "sweep":
                 assert all(np.all(np.isfinite(col)) for col in cols.values())
