@@ -76,6 +76,9 @@ _GEMM_ROWS = 256
 #: Largest product, in multiply-adds, that the same target hands to its
 #: small-matrix kernel, which sums the whole inner dimension in one run.
 _GEMM_SMALL = 100**3
+#: Largest z = half-width * dt of one Chebyshev step.  ``jv`` and the series
+#: take ~z terms per step, so a longer step is refused, not run for hours.
+_CHEBYSHEV_MAX_Z = 1e6
 
 #: One block of amplitudes from a route: (samples, Re c, Im c, scratch), c of
 #: shape (N+1, k) and scratch a flat float array of at least 3 (N+1) k elements,
@@ -383,7 +386,8 @@ def _chebyshev_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Block
 
     The spectrum is mapped to [-1, 1] with the Gershgorin bounds, and each
     step keeps the terms ``jv(half-width * dt)`` returns: those whose dropped
-    Bessel tail is <= 1e-16.
+    Bessel tail is <= 1e-16.  A step with half-width * dt above
+    ``_CHEBYSHEV_MAX_Z`` is refused.
     """
     radius = np.zeros_like(d)
     radius[:-1] += np.abs(a)
@@ -392,8 +396,14 @@ def _chebyshev_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Block
     mid = 0.5 * (hi + lo)
     half = 0.5 * (hi - lo)
     dt = steps[1] - steps[0]
-    # Term k weighs exp(-i mid dt) (2 - delta_k0) (-i)^k J_k(half dt); (-i)^k is exact from its period.
-    j = jv(half * dt)
+    z = half * dt
+    if not z <= _CHEBYSHEV_MAX_Z:
+        raise ValueError(
+            f"end = {steps[-1]:g} over samples = {steps.size} gives Chebyshev steps of"
+            f" z = {z:.3g} > {_CHEBYSHEV_MAX_Z:g}; use more samples or a shorter end"
+        )
+    # Term k weighs exp(-i mid dt) (2 - delta_k0) (-i)^k J_k(z); (-i)^k is exact from its period.
+    j = jv(z)
     weights = np.exp(-1j * mid * dt) * np.array([2.0, -2j, -2.0, 2j])[np.arange(j.size) % 4] * j
     weights[0] /= 2.0
     shifted = d - mid

@@ -55,6 +55,13 @@ __all__ = [
     "fit_rabi_frequency",
 ]
 
+#: Samples per block of ``propagate``, so its temporaries span one block and
+#: only the returned trace spans every sample.  A lone last sample joins the
+#: block before it (257 samples): NumPy takes a one-column product and its
+#: axis-0 sums in another order, which would move output bits.
+_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class LowGainModel:
     """A low-gain scenario, and the one place that decides its run.
@@ -191,20 +198,24 @@ def propagate(
     taus = sample_axis(tau_end, sample_count)
     w, v = np.linalg.eigh(h)
     c0 = v.T @ state.amplitudes
-    phases = np.exp(-1j * np.outer(w, taus)) * c0[:, None]
-    psi = v @ phases  # (size, samples)
-    psi[:, 0] = state.amplitudes  # the tau = 0 propagator is the identity, exactly
-
-    probs = np.abs(psi) ** 2
     m = model.params.ladder_halfwidth
     mus = np.arange(-m, m + 1)
     interior = np.abs(mus) <= m - EDGE_BUFFER
-    columns = {
-        "dn_per_N": (mus[interior, None] * probs[interior]).sum(axis=0),
-        "norm": probs.sum(axis=0),
-        "energy": np.einsum("is,ij,js->s", psi.conj(), h, psi).real,
-    }
-    return Trace(x=taus, columns=columns, levels=probs[interior])
+    dn, norm, energy = np.empty((3, sample_count))
+    levels = np.empty((np.count_nonzero(interior), sample_count))
+    edges = [*range(0, sample_count - 1, _BLOCK), sample_count]
+    for start, stop in zip(edges, edges[1:]):
+        sl = slice(start, stop)
+        phases = np.exp(-1j * np.outer(w, taus[sl])) * c0[:, None]
+        psi = v @ phases  # (size, samples of the block)
+        if start == 0:
+            psi[:, 0] = state.amplitudes  # the tau = 0 propagator is the identity, exactly
+        probs = np.abs(psi) ** 2
+        levels[:, sl] = probs[interior]
+        dn[sl] = (mus[interior, None] * levels[:, sl]).sum(axis=0)
+        norm[sl] = probs.sum(axis=0)
+        energy[sl] = np.einsum("is,ij,js->s", psi.conj(), h, psi).real
+    return Trace(x=taus, columns={"dn_per_N": dn, "norm": norm, "energy": energy}, levels=levels)
 
 
 def gain_frequency(nu: int, alpha: float) -> float:

@@ -550,6 +550,10 @@ class TestExitCodes:
             ),
             (["sweep", "--regime", "high", "--variant", "effective"], "--variant does not apply"),
             (["fig3", "--panel", "sideways"], "panel must be 'top' or 'bottom', got 'sideways'"),
+            (
+                ["fig3", "--panel", "top", "--electrons", "11585", "--n0", "1200", "--samples", "3", "--end", "1e9"],
+                "end = 1e+09 over samples = 3 gives Chebyshev steps of z = 2.33e+12 > 1e+06",
+            ),
             (["sweep", "--regime", "sideways"], "regime must be 'low' or 'high', got 'sideways'"),
         ],
     )

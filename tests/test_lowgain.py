@@ -1,5 +1,6 @@
 """Momentum-ladder dynamics: builders, route agreement, closed forms."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -154,15 +155,16 @@ class TestRouteAgreement:
         # levels holds mu = -4 ... 4, ladder indices 2 ... 10.
         assert trace.levels.T[1:] == pytest.approx(reference[1:, 2:11], abs=1e-9)
 
-    def test_effective_propagation_matches_expm_oracle(self):
+    # 517 samples span three of propagate's 256-sample blocks; the rows sit on their edges.
+    @pytest.mark.parametrize("samples, rows", [(3, [1, 2]), (517, [0, 255, 256, 257, 511, 512, 516])])
+    def test_effective_propagation_matches_expm_oracle(self, samples, rows):
         model = _effective(2, alpha=0.25, M=6)
         op = build_effective_hamiltonian(model)
         psi0 = np.zeros(13, dtype=complex)
         psi0[6] = 1.0
-        taus = [0.0, 4.0, 8.0]
-        reference = expm_populations(op, psi0, taus)
-        trace = propagate(model, LadderState.initial(model.params), 8.0, 3)
-        assert trace.levels.T[1:] == pytest.approx(reference[1:, 2:11], abs=1e-10)
+        trace = propagate(model, LadderState.initial(model.params), 8.0, samples)
+        reference = expm_populations(op, psi0, trace.x[rows])
+        assert trace.levels.T[rows] == pytest.approx(reference[:, 2:11], abs=1e-10)
 
     @pytest.mark.parametrize("nu", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [0.1, 0.25])
@@ -282,6 +284,19 @@ class TestPropagate:
         assert trace.column("dn_per_N")[0] == 0.0
         assert trace.levels[8, 0] == 1.0  # mu = 0 of the interior rows -8 ... 8
         assert trace.column("norm")[0] == 1.0
+
+    def test_only_the_returned_trace_spans_every_sample(self):
+        # tracemalloc sees NumPy's buffers. Allowed: the trace plus 8 blocks of 256 complex
+        # samples, 2.1 MiB; working on all 8001 samples at once peaked at 10.3 MiB.
+        p = _params(3)
+        tracemalloc.start()
+        try:
+            trace = propagate(LowGainModel(params=p), LadderState.initial(p), np.pi / gain_frequency(3, 0.25), 8001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = trace.x.nbytes + trace.levels.nbytes + sum(col.nbytes for col in trace.columns.values())
+        assert peak <= outputs + 8 * (2 * p.ladder_halfwidth + 1) * 256 * 16
 
     def test_conserves_norm_and_frame_energy(self):
         p = _params(2, alpha=0.25)
