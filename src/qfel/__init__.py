@@ -1,6 +1,6 @@
 """Quantum free-electron-laser dynamics at desk scale.
 
-A numpy/scipy library (plus the ``qfel`` command-line runner) for the two
+A NumPy-only library (plus the ``qfel`` command-line runner) for the two
 regimes of a quantum FEL:
 
 * **low gain** — one electron on the photon-recoil momentum ladder in a fixed

@@ -1,12 +1,13 @@
 """Independent reference implementations used only by the tests.
 
 Everything here deliberately avoids the package's own solution paths:
-dense matrix exponentials instead of banded eigendecompositions, generic
-ODE integration of the interaction-picture H(tau) instead of the
-static-frame equivalence, and K, cn and the detuned mean-field form of the
-first resonance straight from ``scipy.special`` (Cephes: K from polynomials in
-1 - m, cn from its own Landen code and, near m = 1, a series) instead of
-``qfel.specfun``.
+SciPy's dense matrix exponential instead of banded eigendecompositions and
+``qfel.validate.expm``, generic ODE integration of the interaction-picture
+H(tau) instead of the static-frame equivalence, and of the mean-field
+equations instead of ``integrate_semiclassical``'s Taylor steps, and K, cn
+and the detuned mean-field form of the first resonance straight from
+``scipy.special`` (Cephes: K from polynomials in 1 - m, cn from its own
+Landen code and, near m = 1, a series) instead of ``qfel.specfun``.
 """
 
 from __future__ import annotations
@@ -77,6 +78,23 @@ def ode_populations(
         raise RuntimeError(sol.message)
     psi = sol.y[:size] + 1j * sol.y[size:]
     return (np.abs(psi) ** 2).T
+
+
+def mean_field_populations(params: FelParams, ells) -> dict[str, np.ndarray]:
+    """The columns n, A, B of ``integrate_semiclassical`` from SciPy's DOP853 at rtol 1e-12."""
+    g = params.alpha / params.N
+
+    def rhs(_ell: float, y: np.ndarray) -> np.ndarray:
+        a, b0, b2 = y
+        da = -1j * g * np.conj(a) * b0 * np.conj(b2)
+        return np.array([da, -0.5j * g * a * a * b2, -0.5j * g * np.conj(a) * np.conj(a) * b0])
+
+    y0 = np.array([np.sqrt(params.n0), np.sqrt(params.N), 0.0], dtype=complex)
+    sol = solve_ivp(rhs, (0.0, ells[-1]), y0, t_eval=ells, method="DOP853", rtol=1e-12, atol=1e-14)
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    n, n_elec0, n_elec2 = np.abs(sol.y) ** 2
+    return {"n": n, "A": n_elec0 + n_elec2, "B": 2.0 * n_elec0 + n}
 
 
 def detuned_n_first(ell, params: FelParams, detuned: bool = True):

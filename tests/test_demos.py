@@ -15,10 +15,12 @@ from recorded import ROOT, run_python
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 RECORDED = ROOT / "tests" / "demo_output"
 
-# Lines that print solver roundoff, not physics, held by label under a floor instead of as
-# text, so that an ODE solver upgrade that moves their digits does not trip them.  At
-# rtol = 1e-12 they print 1.78e-11 (relative) and 2.37e-09, 4.55e-09 (absolute, on counts of
-# about 1000 and 2100); the floors sit 50 to 400 times above them and far below any physics.
+# Lines that print integrator roundoff, not physics, held by label under a floor instead of
+# as text, so that a change of step rule or order that moves their digits does not trip them.
+# The Taylor steps print 4.93e-14 (relative) and 5.12e-12, 1.00e-11 (absolute, on counts of
+# about 1000 and 2100).  The recorded file keeps the 1.78e-11, 2.37e-09 and 4.55e-09 of a
+# DOP853 solver at rtol = 1e-12; the floors sit 50 to 400 times above those and far below
+# any physics.
 NOISE_FLOORS = {
     "worst relative deviation over a full cycle": 1e-9,
     "conserved electron number drift": 1e-6,

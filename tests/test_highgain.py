@@ -3,7 +3,6 @@
 import ctypes
 import inspect
 import mmap
-import types
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from oracles import detuned_n_first, expm_populations
+from oracles import detuned_n_first, expm_populations, mean_field_populations
 from qfel import highgain
 from qfel.core import FelParams, first_maximum
 from qfel.highgain import (
@@ -992,16 +991,22 @@ class TestSeedBoundary:
 
 
 class TestSemiclassical:
-    def test_matches_closed_form_over_full_period(self):
+    @pytest.mark.parametrize("samples", [801, 3])
+    def test_matches_the_ode_oracle_and_the_closed_form_over_one_period(self, samples):
+        # Three samples over one period leave ~27 gain lengths between samples,
+        # which the Taylor steps cover in several sub-steps.
         p = _params(2, alpha=0.25, n0=100.0, N=1000)
         period = 2.0 * lmax_exact(p, 2)
-        trace = integrate_semiclassical(p, period, 801)
+        trace = integrate_semiclassical(p, period, samples)
+        oracle = mean_field_populations(p, trace.x)
+        for column in ("n", "A", "B"):
+            assert np.max(np.abs(trace.column(column) / oracle[column] - 1.0)) < 1e-9, column
         reference = analytic_n_second(trace.x, p)
-        assert np.max(np.abs(trace.column("n") - reference) / reference) < 1e-6
-        assert np.max(np.abs(trace.column("A") - p.N)) < 1e-9 * p.N
-        assert np.max(np.abs(trace.column("B") - (2 * p.N + p.n0))) < 1e-9 * p.N
+        assert np.max(np.abs(trace.column("n") - reference) / reference) < 1e-12
+        assert np.max(np.abs(trace.column("A") - p.N)) < 1e-13 * p.N
+        assert np.max(np.abs(trace.column("B") - (2 * p.N + p.n0))) < 1e-13 * p.N
         # One full period returns the field to its seed value.
-        assert trace.column("n")[-1] == pytest.approx(p.n0, rel=1e-5)
+        assert trace.column("n")[-1] == pytest.approx(p.n0, rel=1e-12)
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="second"):
@@ -1012,24 +1017,20 @@ class TestSemiclassical:
             integrate_semiclassical(_params(2), 0.0)
 
     def test_population_sum_above_n_aborts(self, monkeypatch):
-        # A stand-in solver returns |b0|^2 + |b2|^2 = N (1 + excess) at every sample.
-        import scipy.integrate
-
+        # A stand-in step lands on each sample with |b0|^2 + |b2|^2 = N (1 + excess).
         p = _params(2, alpha=0.25, n0=100.0, N=1000)
 
-        def fake_solve_ivp(excess):
-            def solve(rhs, span, y0, t_eval, **options):
-                y = np.empty((3, t_eval.size), dtype=complex)
-                y[0], y[1], y[2] = y0[0], np.sqrt(p.N * (1.0 + excess)), 0.0
-                return types.SimpleNamespace(success=True, message="", y=y)
+        def fake_step(excess):
+            def step(y, alpha, N, room):
+                return np.array([y[0], np.sqrt(N * (1.0 + excess)), 0.0]), room
 
-            return solve
+            return step
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", fake_solve_ivp(1e-6))
+        monkeypatch.setattr(highgain, "_mean_field_step", fake_step(1e-6))
         with pytest.raises(RuntimeError, match=r"max N0\+N2 = 1\.000001e\+03 vs N = 1000"):
             integrate_semiclassical(p, 1.0, 5)
         # Inside the 1e-8 N tolerance the run is kept.
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", fake_solve_ivp(1e-9))
+        monkeypatch.setattr(highgain, "_mean_field_step", fake_step(1e-9))
         assert integrate_semiclassical(p, 1.0, 5).column("A") == pytest.approx(p.N, rel=1e-8)
 
 

@@ -1,6 +1,7 @@
 """Package import cost, and the package names the benchmark tracer wraps.
 
-SciPy's heavy submodules, and ``mmap``, load only when a route needs them.
+qfel runs on NumPy alone, and ``mmap`` and the thread pool load only where a
+route needs them.
 """
 
 import inspect
@@ -11,102 +12,75 @@ import pytest
 import qfel
 from recorded import bench_module, run_python
 
-DEFERRED = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg", "scipy.linalg.cython_lapack", "mmap")
+LAZY = ("mmap", "concurrent.futures")
 
 _PROBE = f"""
 import json, sys
+sys.modules["scipy"] = None  # from here on, any import of SciPy raises ImportError
 import numpy as np
-import qfel, qfel.cli
+import qfel, qfel.cli, qfel.validate
 from qfel import (
     FelParams, HighGainModel, LadderState, LowGainModel, analytic_n_first, integrate_semiclassical, propagate,
     propagate_dicke,
 )
 
-def loaded():
-    flags = {{name: name in sys.modules for name in {DEFERRED!r}}}
-    flags["scipy"] = any(name.split(".")[0] == "scipy" for name in sys.modules)
-    flags["concurrent.futures"] = "concurrent.futures" in sys.modules
-    return flags
-
 p = FelParams(alpha=0.25, nu=2, n0=10.0, N=50, context="high")
 p1 = FelParams(alpha=0.25, nu=1, n0=10.0, N=50, context="high")
 low = FelParams(alpha=0.25, nu=1, context="low")
+ctx = qfel.validate.ValidationContext()
 routes = {{
+    "low_gain": lambda: propagate(LowGainModel(params=low, variant="effective"), LadderState.initial(low), 1.0, 3),
+    "closed_form": lambda: analytic_n_first(np.linspace(0.0, 1.0, 3), p1),
     "chebyshev": lambda: qfel.highgain._propagate_dicke(
         HighGainModel(params=p, variant="dicke_only"), 1.0, 3, qfel.highgain._chebyshev_blocks
     ),
-    "low_gain": lambda: propagate(LowGainModel(params=low, variant="effective"), LadderState.initial(low), 1.0, 3),
-    "eigh": lambda: propagate_dicke(HighGainModel(params=p, variant="dicke_only"), 1.0, 3),
     "mean_field": lambda: integrate_semiclassical(p, 1.0, 3),
-    "closed_form": lambda: analytic_n_first(np.linspace(0.0, 1.0, 3), p1),
+    "mean_field_oracle": lambda: qfel.validate.check_mean_field_oracle(ctx),
+    "eigh": lambda: propagate_dicke(HighGainModel(params=p, variant="dicke_only"), 1.0, 3),
+    "dense_oracle": lambda: qfel.validate.check_dense_oracle_equivalence(ctx),
+    "fig4": lambda: qfel.cli.main(["fig4", "--samples", "5", "--out", sys.argv[1]]) == 0 or sys.exit("fig4 failed"),
 }}
-stages = {{"import": loaded()}}
-for route in sys.argv[1:]:
-    routes[route]()
-    stages[route] = loaded()
+
+def lazy():
+    return {{name: name in sys.modules for name in {LAZY!r}}}
+
+stages = {{"import": lazy()}}
+for stage, route in routes.items():
+    route()
+    stages[stage] = lazy()
 print(json.dumps(stages))
 """
 
 
-def _probe(*routes):
-    """Deferred-module flags after a fresh ``import qfel`` and after each route, in order."""
-    proc = run_python(["-c", _PROBE, *routes], timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 @pytest.fixture(scope="module")
-def stages():
-    # The mean-field route runs last, since scipy.integrate loads scipy.linalg
-    # too.  The low-gain route, the closed form and the Chebyshev route run
-    # before it, so each stage's "scipy" flag shows what that route loaded.
-    # The eigh route gets its own interpreter, so that the "scipy" flag shows
-    # it loads no SciPy module at all.
-    return {
-        **_probe("low_gain", "closed_form", "chebyshev", "mean_field"),
-        "eigh": _probe("eigh")["eigh"],
-    }
+def numpy_only(tmp_path_factory):
+    """One fresh interpreter in which SciPy cannot load, running every route and both oracle checks."""
+    return run_python(["-c", _PROBE, str(tmp_path_factory.mktemp("probe") / "fig4.csv")], timeout=120)
 
 
-def _loaded(flags):
-    return {name for name in DEFERRED if flags[name]}
+def _stages(probe):
+    assert probe.returncode == 0, probe.stderr
+    return json.loads(probe.stdout.strip().splitlines()[-1])
 
 
-def test_import_loads_none_of_the_deferred_modules(stages):
-    # Nor any other scipy module: ``loaded`` flags that as "scipy".
+def test_every_route_and_both_oracle_checks_run_without_scipy(numpy_only):
+    assert list(_stages(numpy_only)) == [
+        "import", "low_gain", "closed_form", "chebyshev", "mean_field", "mean_field_oracle", "eigh", "dense_oracle",
+        "fig4",
+    ]
+
+
+def test_import_loads_no_mmap_and_no_thread_pool(numpy_only):
+    # ``qfel sweep`` runs its grid points in one serial loop, and no thread pool loads later either.
+    stages = _stages(numpy_only)
     assert not any(stages["import"].values())
+    assert not any(flags["concurrent.futures"] for flags in stages.values())
 
 
-def test_cli_import_loads_no_thread_pool(stages):
-    # ``qfel sweep`` runs its grid points in one serial loop.
-    assert not stages["import"]["concurrent.futures"]
-
-
-def test_low_gain_propagation_loads_none_of_the_deferred_modules(stages):
-    assert _loaded(stages["low_gain"]) == set()
-
-
-def test_chebyshev_route_loads_no_scipy_module(stages):
-    # Its Bessel coefficients come from highgain.jv's recurrence, in NumPy alone.
-    assert _loaded(stages["chebyshev"]) == set()
-    assert not stages["chebyshev"]["scipy"]
-
-
-def test_closed_form_loads_no_deferred_and_no_scipy_module(stages):
-    # K and cn come from qfel.specfun's arithmetic-geometric mean, in NumPy alone.
-    assert _loaded(stages["closed_form"]) == set()
-    assert not stages["closed_form"]["scipy"]
-
-
-def test_eigh_route_loads_mmap_and_no_scipy_module(stages):
-    # The eigensolver calls dstemr from NumPy's own OpenBLAS into an mmap.
-    assert _loaded(stages["eigh"]) == {"mmap"}
-    assert not stages["eigh"]["scipy"]
-
-
-def test_mean_field_route_loads_scipy_integrate(stages):
-    assert stages["mean_field"]["scipy.integrate"]
-    assert stages["mean_field"]["scipy.optimize"]
+def test_only_the_eigh_route_loads_mmap(numpy_only):
+    # The eigensolver calls dstemr from NumPy's own OpenBLAS into an mmap; the routes before it need none.
+    stages = _stages(numpy_only)
+    assert [name for name, flags in stages.items() if flags["mmap"]] == ["eigh", "dense_oracle", "fig4"]
 
 
 def test_package_exports_each_modules_public_names_once():

@@ -1,4 +1,4 @@
-"""The validation layer's verdict rule: a check passes iff every gate passes."""
+"""The validation layer's verdict rule, a check passes iff every gate passes, and its dense oracle."""
 
 import gc
 import math
@@ -8,14 +8,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import expm as scipy_expm
 from qfel import highgain
-from qfel.core import Trace
+from qfel.core import FelParams, Trace
+from qfel.highgain import HighGainModel, build_dicke_tridiagonal
+from qfel.lowgain import LowGainModel, build_effective_hamiltonian, rotating_frame_hamiltonian
 from qfel.validate import (
     CheckResult,
     Gate,
     ValidationContext,
     check_dense_oracle_equivalence,
     check_second_resonance_collective,
+    expm,
 )
 
 
@@ -107,6 +111,31 @@ def test_dense_oracle_check_runs_both_collective_routes_on_every_variant(monkeyp
     result = check_dense_oracle_equivalence(ValidationContext())
     assert calls == {"eigh": 4, "chebyshev": 4}
     assert result.passed, result.line()
+
+
+def _oracle_operators(nu, family):
+    """The operators ``check_dense_oracle_equivalence`` exponentiates, and the times it takes them at."""
+    if family == "ladder":
+        params = FelParams(alpha=0.25, nu=nu, M=10, context="low")
+        full, effective = LowGainModel(params=params), LowGainModel(params=params, variant="effective")
+        return (rotating_frame_hamiltonian(full), build_effective_hamiltonian(effective)), range(9)
+    params = FelParams(alpha=0.4, nu=nu, n0=3, N=16, context="high")
+    return (build_dicke_tridiagonal(HighGainModel(params=params, variant=family)),), range(13)
+
+
+@pytest.mark.parametrize("nu, family", [
+    (1, "ladder"), (2, "ladder"), (3, "ladder"),
+    (1, "third_order"), (1, "first_order"), (2, "dicke_only"), (2, "full_second_order"),
+])
+def test_expm_matches_scipy_on_the_oracle_matrices(nu, family):
+    # The nu = 1, 2, 3 rotating frames and effective models at M = 10 for
+    # tau = 0 ... 8 (1-norms up to 1060, so up to 8 squarings), and the four
+    # N = 16 collective variants for ell = 0 ... 12; t = 0 is the zero matrix.
+    operators, times = _oracle_operators(nu, family)
+    for op in operators:
+        h = op.dense()
+        for t in times:
+            assert np.max(np.abs(expm(-1j * h * t) - scipy_expm(-1j * h * t))) <= 1e-12, (nu, family, t)
 
 
 def test_traces_are_cached_per_context():
