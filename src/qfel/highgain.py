@@ -306,8 +306,8 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     The seed |0> weighs eigenvector j by u_j = v[0, j] (Golub-Welsch), and
     ``stemr`` returns an exact 0.0 for most u_j, so the phases
     exp(-i w_j ell) u_j are computed on the support rows only.  Re and Im of
-    128 samples sit side by side in one real (K, 256) input, so one GEMM
-    streams the eigenvector matrix.  That GEMM is ``_support_product``:
+    a block's k samples sit side by side in one real (K, 2k) input, so one
+    GEMM streams the eigenvector matrix.  That GEMM is ``_support_product``:
     pieces cut around the support, one per BLAS K-panel that holds support
     rows, in calls of at most ``_GEMM_ROWS`` output rows, written into one
     C-ordered block.  The rows left out are exact zeros, so the sum equals
@@ -316,40 +316,41 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
     handed out as 64-sample views of that block, the shapes the observable
     sums were recorded with; the next block overwrites them.
 
-    A last block of 97-127 samples, off a multiple of 4, is split into 96
-    and the rest: the SkylakeX kernel sums the edge columns of a product
-    wider than 192 columns (DGEMM_DEFAULT_P) and off a multiple of 8 in an
-    order set by its threads' row split, so no block is that wide.
+    Blocks hold 64 samples, and a last block of fewer than 16 joins the one
+    before it, so a GEMM is 32-158 columns wide (narrower only in a call of
+    fewer than 16 samples).  Below 192 columns (DGEMM_DEFAULT_P) the
+    SkylakeX kernel's sums do not depend on its threads' row split.  From 12
+    samples on, 112 * 2k * 384 > ``_GEMM_SMALL`` for row chunks of 112 rows
+    or more, so ``_gemm_pieces`` keeps to the support's panels rather than
+    the whole row range, and the columns outside them can be released.
 
     Once the support is known, the eigenvector columns left of the first
     GEMM piece and right of the last, for every block width, go back to the
     OS.  Every array sized by the support or the block is a view of a
-    second anonymous mapping, in five regions: the GEMM block, n x 256; the
-    piece buffer, one longest row chunk of a later piece's product and one
-    longest piece's zero-padded input, each 256 wide; the observable
-    scratch, 3 n x 64; the Re|Im input, K x 256, which holds w ell before
-    the phases are split into it; and the complex phases, K x 128.  The
-    phases are computed with the ufuncs of exp(-1j * outer(w, ell)) * u in
-    that order, through ``out=``.  Both mappings are unmapped once the
-    caller drops the last block, so no heap page of the call stays
-    resident: with those arrays on the heap and 1024-row GEMM calls, six
-    collective-scan sized calls grew resident size by 4.2-5.0 MiB, against
-    1.3-1.9 MiB now.  Adding later pieces through a temporary in place of
-    the buffer raised collective-scan's peak by 0.25 MB, and plain
-    observable expressions in place of the in-place scratch ran it 3 %
-    slower.
+    second anonymous mapping, in four regions sized for the widest block:
+    the GEMM block, n x 2k; the piece buffer, one longest row chunk of a
+    later piece's product and one longest piece's zero-padded input, each
+    2k wide; the observable scratch, 3 n x 64; and the Re|Im input, K x 2k.
+    Its Im half takes w ell, the Re half cos(w ell) u, and then the Im half
+    sin(w ell) (-u) in place, all through ``out=``.  Both mappings are
+    unmapped once the caller drops the last block, so no heap page of the
+    call stays resident: with those arrays on the heap and 1024-row GEMM
+    calls, six collective-scan sized calls grew resident size by
+    4.2-5.0 MiB, against 1.3-1.9 MiB now.  Adding later pieces through a
+    temporary in place of the buffer raised collective-scan's peak by
+    0.25 MB, and plain observable expressions in place of the in-place
+    scratch ran it 3 % slower.
 
     The sizes keep every output bit: a GEMM 512 columns wide, observable
-    sums over 128 samples (which move validate's N = 10^4 traces), or a
-    piece that moves a panel edge all change the roundoff of the outputs;
-    trimming zero rows inside a panel, or cutting the output rows, does not.
+    sums over 128 samples (which move validate's N = 10^4 traces) or over a
+    whole 65-79-sample block, or a piece that moves a panel edge all change
+    the roundoff of the outputs; trimming zero rows inside a panel, cutting
+    the output rows, or 64- rather than 128-sample GEMM blocks does not.
     """
     import mmap
 
-    n, bounds = d.size, [(start, min(start + 128, steps.size)) for start in range(0, steps.size, 128)]
-    start, stop = bounds[-1]
-    if 96 < stop - start < 128 and (stop - start) % 4:
-        bounds[-1:] = [(start, start + 96), (start + 96, stop)]
+    n, edges = d.size, [0, *range(64, steps.size - 15, 64), steps.size]
+    bounds = list(zip(edges, edges[1:]))
     widths = {2 * (stop - start) for start, stop in bounds}
     w, v, mapping = eigh_tridiagonal(d, a)
     support = np.flatnonzero(v[0])
@@ -362,18 +363,16 @@ def _eigh_blocks(d: np.ndarray, a: np.ndarray, steps: np.ndarray) -> _Blocks:
         mapping.madvise(mmap.MADV_DONTNEED, right)
     width = max(widths)
     depth = max(hi - lo for lo, hi in _row_chunks(n)) + max(hi - lo for lo, hi in pieces)
-    sizes = [n * width, depth * width, 3 * n * min(64, steps.size), w.size * width, w.size * width]
+    sizes = [n * width, depth * width, 3 * n * min(64, steps.size), w.size * width]
     work = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes), flags=mmap.MAP_PRIVATE))
-    out, buffer, scratch, values, phases = np.split(work, np.cumsum(sizes)[:-1])
-    phases = phases.view(complex)
+    out, buffer, scratch, values = np.split(work, np.cumsum(sizes)[:-1])
     for start, stop in bounds:
-        t = steps[start:stop]
-        k = t.size
-        phase = phases[: w.size * k].reshape(-1, k)
-        np.multiply(-1j, np.outer(w, t, out=values[: w.size * k].reshape(-1, k)), out=phase)
-        np.multiply(np.exp(phase, out=phase), u[:, None], out=phase)
+        k = stop - start
         parts = values[: w.size * 2 * k].reshape(-1, 2 * k)
-        parts[:, :k], parts[:, k:] = phase.real, phase.imag
+        re, im = parts[:, :k], parts[:, k:]
+        np.outer(w, steps[start:stop], out=im)
+        np.multiply(np.cos(im, out=re), u[:, None], out=re)
+        np.multiply(np.sin(im, out=im), -u[:, None], out=im)
         c = out[: n * 2 * k].reshape(n, 2 * k)
         _support_product(v, support, parts, c, buffer)
         for lo in range(0, k, 64):

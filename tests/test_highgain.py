@@ -3,6 +3,7 @@
 import ctypes
 import inspect
 import mmap
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from qfel.highgain import (
     propagate_dicke,
     short_time_n_second,
 )
-from recorded import run_python
+from recorded import assert_matches_reference, run_python
 
 
 def _params(nu, alpha=0.25, n0=100.0, N=1000, **kw):
@@ -39,14 +40,12 @@ def _on_route(model, span, samples, route, keep_levels=False):
 
 
 def _assert_eigh_matches_chebyshev(model, span, samples):
-    """Both routes agree per level to 1e-9, and on n/norm/energy to 1e-10 of scale."""
+    """Both routes agree per level to 1e-9, and on n/norm/energy to the recorded references' bar."""
     t1 = _on_route(model, span, samples, "eigh", keep_levels=True)
     t2 = _on_route(model, span, samples, "chebyshev", keep_levels=True)
     assert np.max(np.abs(t1.levels - t2.levels)) < 1e-9, samples
-    for name in ("n", "norm", "energy"):
-        ref = t1.column(name)
-        scale = max(1.0, np.max(np.abs(ref))) if name == "energy" else np.max(np.abs(ref))
-        assert np.max(np.abs(t2.column(name) - ref)) <= 1e-10 * scale, (samples, name)
+    names = ("n", "norm", "energy")
+    assert_matches_reference(f"{samples} samples", {c: t2.column(c) for c in names}, {c: t1.column(c) for c in names})
 
 
 class TestModelValidation:
@@ -329,6 +328,12 @@ for N in (1000, 2000, 3000):
 print(resident_mib() - before)
 """
 
+_PEAK_PROBE = """
+import resource
+run(4000, 1, "third_order", 7.0, int(sys.argv[1]), 0.5)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
 _THREADS_PROBE = """
 columns = {}
 for N, nu, variant, alpha, span, samples in [
@@ -336,6 +341,8 @@ for N, nu, variant, alpha, span, samples in [
     (1500, 1, "first_order", 0.5, 7.0, 255),
     (2000, 2, "dicke_only", 0.25, 45.0, 117),
     (2000, 1, "third_order", 0.5, 7.0, 484),
+    (2000, 1, "third_order", 0.5, 7.0, 143),
+    (2000, 2, "dicke_only", 0.25, 45.0, 144),
 ]:
     trace = run(N, nu, variant, span, samples, alpha)
     columns.update({f"{variant} N={N} samples={samples} {c}": trace.column(c) for c in ("n", "norm", "energy")})
@@ -368,16 +375,13 @@ class TestWorkTail:
         # one product over all 4001 rows grew resident size by 13.0 MiB, about
         # 384 x 4001 doubles; in row chunks the packing is 384 x 256 doubles,
         # 0.75 MiB.  The 2 MiB of slack covers what else the call leaves
-        # resident: the three probes read 1.4-2.3 MiB at 1, 2 and 4 threads,
+        # resident: the three probes read 1.1-2.4 MiB at 1, 2 and 4 threads,
         # and 3.6-4.8 MiB with 1024-row chunks.
         bound = (384 * 256 * 8 + 2 * 2**20) / 2**20
         assert float(_probe(_PACK_PROBE, "50", "256", "4000")) <= bound
-        # 501 samples end in blocks of 96 and 21 samples; one 117-sample
-        # block, 234 columns wide, in one call over all rows grows it by
-        # 12-14 MiB.  The warm-up runs the same blocks at N = 200, so
-        # OpenBLAS's buffers for the 192- and 42-column products are in place:
-        # after the 256-sample warm-up they added 1.1 MiB with two threads,
-        # 0.3 MiB with one.  At N = 6000 1024-row chunks read 4.8 MiB.
+        # 501 samples end in a 53-sample block.  The warm-up runs the same
+        # blocks at N = 200, so OpenBLAS's buffers for the 128- and 106-column
+        # products are in place.  At N = 6000 1024-row chunks read 4.8 MiB.
         assert float(_probe(_PACK_PROBE, "200", "501", "4000")) <= bound
         assert float(_probe(_PACK_PROBE, "200", "501", "6000")) <= bound
 
@@ -390,6 +394,16 @@ class TestWorkTail:
         # kept their freed pages.  In the mapping it grows by 1.3-1.9 MiB.
         assert float(_probe(_HEAP_PROBE)) <= 2.5
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux")
+    def test_a_short_last_block_keeps_the_peak_of_a_whole_one(self):
+        # One N = 4000 call, 128 MB of eigenvectors.  A GEMM block of 1-5
+        # samples is too narrow for ``_gemm_pieces`` to keep to the support's
+        # panels, so no eigenvector column went back to the OS: with 128-sample
+        # blocks, 97 samples ending in a 1-sample block and 129 in another
+        # peaked 15.5 and 17.7 MiB above 128 samples.
+        peak = {samples: float(_probe(_PEAK_PROBE, str(samples))) for samples in (128, 129, 97)}
+        assert peak[129] - peak[128] <= 2.0 and peak[97] - peak[128] <= 2.0, peak
+
     def test_released_columns_give_their_memory_back(self):
         # MADV_DONTNEED frees the pages of a private mapping, which then read
         # as zeros; a shared mapping would keep them, and their memory, until
@@ -401,12 +415,13 @@ class TestWorkTail:
         mapping.madvise(mmap.MADV_DONTNEED, 0, mmap.PAGESIZE)
         assert column.any() and not v[:, 0].any()
 
-    @pytest.mark.parametrize("k", [64, 17, 81])
+    @pytest.mark.parametrize("k", [64, 17, 79])
     def test_in_place_observables_equal_the_plain_expressions_bit_for_bit(self, k):
-        # k = 17 and 81 are the last GEMM blocks of 401 and 2001 samples; the
-        # views have the block's row stride 2k.  The scratch starts an odd
-        # number of doubles into its buffer, off the page that starts it in its
-        # mapping, so its alignment is shown not to move the sums.
+        # k = 17 is the last GEMM block of 401 and 2001 samples, and 79 the
+        # widest, a joined tail (143 samples); the views have the block's row
+        # stride 2k.  The scratch starts an odd number of doubles into its
+        # buffer, off the page that starts it in its mapping, so its alignment
+        # is shown not to move the sums.
         rng = np.random.default_rng(k)
         n, n0, s = 1001, 100.0, 2
         c = rng.standard_normal((n, 2 * k)) / np.sqrt(n)
@@ -446,8 +461,8 @@ class TestPropagation:
     )
     def test_eigh_and_chebyshev_agree_per_level(self, nu, variant):
         model = HighGainModel(params=_params(nu, alpha=0.4, n0=3.0, N=24), variant=variant)
-        # 130 samples cross the eigh route's 64-sample views twice and its
-        # 128-sample GEMM blocks once.
+        # 130 samples make GEMM blocks of 64 and 66 samples, and the second is
+        # handed out as views of 64 and 2.
         for samples in (7, 130):
             _assert_eigh_matches_chebyshev(model, 15.0, samples)
 
@@ -463,7 +478,7 @@ class TestPropagation:
         bands = build_dicke_tridiagonal(model).bands
         _, v, _ = highgain.eigh_tridiagonal(bands[0], bands[1])
         assert np.any(v[0] == 0.0)
-        # 300 samples: two 128-sample GEMM blocks, a 44-sample tail, 64-sample views.
+        # 300 samples: four 64-sample GEMM blocks and a 44-sample tail.
         _assert_eigh_matches_chebyshev(model, span, 300)
 
     def test_eigh_cut_to_the_support_panels_matches_the_full_product(self):
@@ -482,7 +497,7 @@ class TestPropagation:
             support = np.flatnonzero(v[0])
             assert (support[0], support[-1] + 1) == rows
             assert highgain._gemm_pieces(support, v.shape[0], 256) == pieces
-            # 300 samples: two 128-sample GEMM blocks and a 44-sample tail.
+            # 300 samples: four 64-sample GEMM blocks and a 44-sample tail.
             trace = _on_route(model, span, 300, "eigh")
             ells = np.linspace(0.0, span, 300)
             c = v @ (np.exp(-1j * np.outer(w, ells)) * v[0][:, None])
@@ -504,15 +519,16 @@ class TestPropagation:
     def test_eigh_bits_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # The SkylakeX kernel sums the edge columns of a GEMM wider than 192
         # columns and off a multiple of 8 in an order set by its threads' row
-        # split, so the last blocks of 501, 255 and 117 samples (234, 254 and
-        # 234 columns) are split.  484 samples end in a 100-sample block, 200
-        # columns, which stays whole.  A one-core host runs both with one thread.
+        # split, so no block is that wide.  143 samples end in the widest, a
+        # joined 79-sample tail of 158 columns; 144 in a 16-sample tail, the
+        # shortest that stands alone; 501, 255, 117 and 484 in tails of 53, 63,
+        # 53 and 36 samples.  A one-core host runs both with one thread.
         runs = []
         for threads in ("1", "2"):
             path = tmp_path / f"threads{threads}.npz"
             _probe(_THREADS_PROBE, str(path), OPENBLAS_NUM_THREADS=threads)
             runs.append(np.load(path))
-        assert len(runs[0].files) == 12
+        assert len(runs[0].files) == 18
         for name in runs[0].files:
             assert np.array_equal(runs[0][name], runs[1][name]), name
 
